@@ -48,8 +48,7 @@ namespace coopfs {
 // Latency charged for one read outcome under `config` (paper §3, Figure 3):
 // memory_copy + hops x per_hop + block_transfer (if the 8 KB block crossed
 // the network) + disk access time (if the read reached disk). Moved here
-// from the Simulator so the serve layer charges the same constants;
-// Simulator::OutcomeLatency delegates to this.
+// from the Simulator so the serve layer charges the same constants.
 Micros OutcomeLatency(const ReadOutcome& outcome, const SimulationConfig& config);
 
 // Latency charged for one write-through put under `config`: the client

@@ -5,13 +5,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "src/common/completion_queue.h"
 #include "src/common/rng.h"
 #include "src/common/sketch.h"
 #include "src/engine/cache_engine.h"
@@ -28,12 +28,15 @@ namespace {
 // 50 us keeps the simulated storm on the same time scale as replayed traces.
 constexpr Micros kTicketSpacingUs = 50;
 
-// One finished request, pushed by a client thread and drained by the stats
-// thread.
-struct Completion {
-  double latency_us = 0.0;
-  std::uint8_t level = 0;  // CacheLevel for gets; ignored for puts.
-  bool is_get = true;
+// Sample class of a put; a get's class is the CacheLevel that satisfied it.
+constexpr std::size_t kPutClass = kNumCacheLevels;
+
+// One client thread's counted latencies by sample class, padded to its own
+// cache line(s) like the sweep's result slots: the threads append
+// concurrently, and unpadded slots would put several vector headers on one
+// line, bouncing it between cores on every push.
+struct alignas(64) PaddedSampleSlot {
+  std::array<std::vector<double>, kNumCacheLevels + 1> samples;
 };
 
 // One request drawn from the configured key mix.
@@ -94,37 +97,47 @@ class RequestStream {
   std::size_t pool_cursor_ = 0;
 };
 
-ServeLatencyStats ComputeStats(std::vector<double>& samples) {
-  ServeLatencyStats stats;
-  stats.count = samples.size();
-  if (samples.empty()) {
+// Statistics of an ascending sample.
+BenchLatency SortedStats(const std::vector<double>& sorted) {
+  BenchLatency stats;
+  stats.count = sorted.size();
+  if (sorted.empty()) {
     return stats;
   }
-  std::sort(samples.begin(), samples.end());
-  stats.p50_us = QuantileFromSorted(samples, 0.50);
-  stats.p90_us = QuantileFromSorted(samples, 0.90);
-  stats.p95_us = QuantileFromSorted(samples, 0.95);
-  stats.p99_us = QuantileFromSorted(samples, 0.99);
-  stats.p999_us = QuantileFromSorted(samples, 0.999);
-  stats.mean_us = std::accumulate(samples.begin(), samples.end(), 0.0) /
-                  static_cast<double>(samples.size());
-  stats.min_us = samples.front();
-  stats.max_us = samples.back();
+  stats.p50_us = QuantileFromSorted(sorted, 0.50);
+  stats.p90_us = QuantileFromSorted(sorted, 0.90);
+  stats.p95_us = QuantileFromSorted(sorted, 0.95);
+  stats.p99_us = QuantileFromSorted(sorted, 0.99);
+  stats.p999_us = QuantileFromSorted(sorted, 0.999);
+  stats.mean_us = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
+                  static_cast<double>(sorted.size());
+  stats.min_us = sorted.front();
+  stats.max_us = sorted.back();
   return stats;
 }
 
-BenchLatency ToBenchLatency(const ServeLatencyStats& stats) {
-  BenchLatency latency;
-  latency.count = stats.count;
-  latency.p50_us = stats.p50_us;
-  latency.p90_us = stats.p90_us;
-  latency.p95_us = stats.p95_us;
-  latency.p99_us = stats.p99_us;
-  latency.p999_us = stats.p999_us;
-  latency.mean_us = stats.mean_us;
-  latency.min_us = stats.min_us;
-  latency.max_us = stats.max_us;
-  return latency;
+// Moves one sample class out of every thread's slot into one sorted vector.
+std::vector<double> TakeSorted(std::vector<PaddedSampleSlot>& slots,
+                               std::size_t sample_class) {
+  std::size_t count = 0;
+  for (const PaddedSampleSlot& slot : slots) {
+    count += slot.samples[sample_class].size();
+  }
+  std::vector<double> sorted;
+  sorted.reserve(count);
+  for (PaddedSampleSlot& slot : slots) {
+    const std::vector<double> part = std::move(slot.samples[sample_class]);
+    sorted.insert(sorted.end(), part.begin(), part.end());
+  }
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+std::vector<double> MergeSorted(const std::vector<double>& a, const std::vector<double>& b) {
+  std::vector<double> merged;
+  merged.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(merged));
+  return merged;
 }
 
 std::uint32_t ResolveShards(const ServeOptions& options) {
@@ -140,11 +153,13 @@ std::uint32_t ResolveShards(const ServeOptions& options) {
 
 // Builds the trace-mix request pool: the read/write skeleton of the
 // deterministic Sprite-like workload, scaled to this storm's client count.
+// The trace covers the storm's requests (at least 10k events) up to the
+// trace_events cap; shorter pools are cycled.
 std::vector<Request> BuildTracePool(const ServeOptions& options) {
   WorkloadConfig workload = SpriteWorkloadConfig(options.seed);
   workload.num_clients = options.num_clients;
-  workload.num_events = std::clamp<std::uint64_t>(options.ops + options.warmup_ops,
-                                                  10'000, options.trace_events);
+  workload.num_events = std::min<std::uint64_t>(
+      std::max<std::uint64_t>(options.ops + options.warmup_ops, 10'000), options.trace_events);
   const Trace trace = GenerateWorkload(workload);
   std::vector<Request> pool;
   pool.reserve(trace.size());
@@ -161,7 +176,7 @@ std::vector<Request> BuildTracePool(const ServeOptions& options) {
   return pool;
 }
 
-std::string FormatStatsRow(const char* label, const ServeLatencyStats& stats) {
+std::string FormatStatsRow(const char* label, const BenchLatency& stats) {
   char line[192];
   std::snprintf(line, sizeof(line),
                 "  %-16s %9llu ops  p50 %9.1f  p95 %9.1f  p99 %9.1f  p999 %9.1f  "
@@ -179,7 +194,7 @@ BenchReport ServeReport::ToBenchReport() const {
   report.host_threads = std::thread::hardware_concurrency();
   const std::uint64_t rss = CurrentPeakRssBytes();
 
-  const auto make_series = [&](const char* name, const ServeLatencyStats& stats) {
+  const auto make_series = [&](const char* name, const BenchLatency& stats) {
     BenchSeries series;
     series.name = name;
     series.unit = "ops/s";
@@ -189,7 +204,7 @@ BenchReport ServeReport::ToBenchReport() const {
         wall_seconds > 0.0 ? static_cast<double>(stats.count) / wall_seconds : 0.0;
     series.peak_rss_bytes = rss;
     if (stats.count > 0) {
-      series.latency = ToBenchLatency(stats);
+      series.latency = stats;
     }
     return series;
   };
@@ -267,7 +282,7 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   CacheEngine engine(config, options.num_clients,
                      [kind, params] { return MakePolicy(kind, params); }, shards);
   // The storm has no warm-up/measurement clock of its own inside the engine;
-  // the harness drops warm-up completions before they reach the stats thread.
+  // the client threads record only their post-warm-up completions.
   engine.SetAccounting(true);
 
   // Key-mix inputs shared read-only across threads.
@@ -296,40 +311,8 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
     ++warmup_budget[t];
   }
 
-  CompletionQueue<Completion> completions(options.completion_queue_capacity);
+  std::vector<PaddedSampleSlot> slots(threads);
   std::atomic<std::uint64_t> ticket{0};
-  std::atomic<bool> producers_done{false};
-
-  // The stats thread drains completions into per-class sample vectors while
-  // the storm runs, so the bounded ring never needs to hold the whole run.
-  std::array<std::vector<double>, kNumCacheLevels> get_samples;
-  std::vector<double> put_samples;
-  std::thread drain([&] {
-    Completion completion;
-    for (;;) {
-      if (completions.TryPop(&completion)) {
-        if (completion.is_get) {
-          get_samples[completion.level].push_back(completion.latency_us);
-        } else {
-          put_samples.push_back(completion.latency_us);
-        }
-        continue;
-      }
-      if (producers_done.load(std::memory_order_acquire)) {
-        // Producers have stopped; one more empty pop means fully drained.
-        if (!completions.TryPop(&completion)) {
-          break;
-        }
-        if (completion.is_get) {
-          get_samples[completion.level].push_back(completion.latency_us);
-        } else {
-          put_samples.push_back(completion.latency_us);
-        }
-        continue;
-      }
-      std::this_thread::yield();
-    }
-  });
 
   const auto storm_start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -337,6 +320,7 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   for (std::uint32_t t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
       RequestStream stream(options, t, zipf.get(), pool.empty() ? nullptr : &pool);
+      PaddedSampleSlot& slot = slots[t];
       const std::uint64_t total_ops = warmup_budget[t] + counted_budget[t];
       for (std::uint64_t i = 0; i < total_ops; ++i) {
         const Request request = stream.Next();
@@ -344,26 +328,23 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
                                ticket.fetch_add(1, std::memory_order_relaxed)) *
                            kTicketSpacingUs;
         const auto op_start = std::chrono::steady_clock::now();
-        Completion completion;
-        completion.is_get = request.is_get;
+        std::size_t sample_class = kPutClass;
+        Micros modeled_us = 0;
         if (request.is_get) {
           const EngineOutcome outcome = engine.Lookup(request.client, request.block, now);
-          completion.level = static_cast<std::uint8_t>(outcome.read.level);
-          completion.latency_us = static_cast<double>(outcome.latency_us);
+          sample_class = static_cast<std::size_t>(outcome.read.level);
+          modeled_us = outcome.latency_us;
         } else {
-          completion.latency_us =
-              static_cast<double>(engine.Admit(request.client, request.block, now));
+          modeled_us = engine.Admit(request.client, request.block, now);
         }
         const auto op_end = std::chrono::steady_clock::now();
-        completion.latency_us +=
-            static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                    op_end - op_start)
-                                    .count()) /
-            1000.0;
         if (i >= warmup_budget[t]) {
-          while (!completions.TryPush(completion)) {
-            std::this_thread::yield();
-          }
+          slot.samples[sample_class].push_back(
+              static_cast<double>(modeled_us) +
+              static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                      op_end - op_start)
+                                      .count()) /
+                  1000.0);
         }
         if (options.think_time_us > 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(options.think_time_us));
@@ -374,8 +355,6 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   for (std::thread& client : clients) {
     client.join();
   }
-  producers_done.store(true, std::memory_order_release);
-  drain.join();
   const auto storm_end = std::chrono::steady_clock::now();
 
   ServeReport report;
@@ -387,18 +366,18 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   report.wall_seconds =
       std::chrono::duration<double>(storm_end - storm_start).count();
 
-  std::vector<double> all_gets;
-  std::vector<double> all_samples;
+  // Each class is sorted once; the aggregates merge the sorted classes.
+  std::vector<double> gets;
   for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
-    report.get_level_counts[level] = get_samples[level].size();
-    all_gets.insert(all_gets.end(), get_samples[level].begin(), get_samples[level].end());
-    report.get_levels[level] = ComputeStats(get_samples[level]);
+    const std::vector<double> samples = TakeSorted(slots, level);
+    report.get_level_counts[level] = samples.size();
+    report.get_levels[level] = SortedStats(samples);
+    gets = MergeSorted(gets, samples);
   }
-  all_samples = all_gets;
-  all_samples.insert(all_samples.end(), put_samples.begin(), put_samples.end());
-  report.gets = ComputeStats(all_gets);
-  report.puts = ComputeStats(put_samples);
-  report.total = ComputeStats(all_samples);
+  const std::vector<double> puts = TakeSorted(slots, kPutClass);
+  report.gets = SortedStats(gets);
+  report.puts = SortedStats(puts);
+  report.total = SortedStats(MergeSorted(gets, puts));
   report.get_ops = report.gets.count;
   report.put_ops = report.puts.count;
   report.ops = report.total.count;

@@ -2,9 +2,10 @@
 //
 // RunServe models a live cooperative-caching deployment: N closed-loop
 // client threads issue get/put requests against shared manager/peer state (a
-// sharded CacheEngine), and a drain thread aggregates completions pulled off
-// the lock-free Vyukov MPMC completion queue (src/common/completion_queue.h)
-// into per-level latency distributions.
+// sharded CacheEngine). Each thread records its counted completions in its
+// own cache-line-padded slot (one sample vector per cache level for gets, one
+// for puts); once the threads have joined, RunServe merges the slots into
+// per-level latency distributions. The client threads are the only threads.
 //
 // Latency methodology (docs/serving.md): each completed operation is charged
 //
@@ -16,8 +17,9 @@
 //
 // so the reported p50/p95/p99/p999 per level (local / remote-client /
 // server-memory / disk) combine the paper's technology model with the real
-// concurrency cost of the serving structures. Throughput is wall-clock ops/s
-// over the counted (post-warm-up) phase.
+// concurrency cost of the serving structures. Throughput is counted
+// (post-warm-up) ops divided by the whole storm's wall time, warm-up
+// included (ServeReport::wall_seconds).
 //
 // The key mix is configurable: a Zipf-skewed synthetic key space, or a
 // trace-derived mix replayed from the deterministic Sprite-like workload
@@ -54,7 +56,10 @@ struct ServeOptions {
   std::uint32_t client_threads = 8;
 
   // Engine shards. 0 derives the smallest power of two >= client_threads,
-  // clamped to [1, 64].
+  // clamped to [1, 64]. Each shard holds 1/shards of every client's cache
+  // and of the server cache, so the hit mix depends on the shard count as
+  // well as on the configured capacities: the same storm sees fewer local
+  // hits at more shards.
   std::uint32_t shards = 0;
 
   // Simulated client machines (>= client_threads; requests carry a client id
@@ -77,7 +82,7 @@ struct ServeOptions {
   std::uint32_t num_files = 2'000;      // kZipf key space.
   std::uint32_t blocks_per_file = 16;
   double zipf_s = 0.9;
-  std::uint64_t trace_events = 100'000;  // kTrace pool size.
+  std::uint64_t trace_events = 100'000;  // kTrace pool size cap.
 
   // Real think time between requests per client thread (0 = closed loop at
   // full speed).
@@ -89,24 +94,6 @@ struct ServeOptions {
   // Cache capacities and timing constants. num_clients above overrides
   // config.num_clients.
   SimulationConfig config;
-
-  // Completion ring capacity (rounded up to a power of two). Producers spin
-  // with yield when full, so this bounds memory, not correctness.
-  std::uint32_t completion_queue_capacity = 1u << 16;
-};
-
-// Latency distribution of one operation class, in modeled+measured
-// microseconds. Quantiles are exact (computed from all counted samples).
-struct ServeLatencyStats {
-  std::uint64_t count = 0;
-  double p50_us = 0.0;
-  double p90_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  double mean_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
 };
 
 struct ServeReport {
@@ -123,12 +110,13 @@ struct ServeReport {
   double ops_per_sec = 0.0;   // Counted ops / wall_seconds.
 
   // Gets by satisfying level (paper Figures 4-5 levels), with latency
-  // distributions per level and aggregated.
+  // distributions per level and aggregated, in modeled+measured
+  // microseconds. Quantiles are exact (computed from all counted samples).
   std::array<std::uint64_t, kNumCacheLevels> get_level_counts{};
-  std::array<ServeLatencyStats, kNumCacheLevels> get_levels{};
-  ServeLatencyStats gets;
-  ServeLatencyStats puts;
-  ServeLatencyStats total;
+  std::array<BenchLatency, kNumCacheLevels> get_levels{};
+  BenchLatency gets;
+  BenchLatency puts;
+  BenchLatency total;
 
   // Post-drain invariant check: CheckCacheDirectoryConsistency over every
   // shard once the client threads have joined (no lost blocks, directory and

@@ -70,10 +70,6 @@ Simulator::Simulator(SimulationConfig config, EventSource* source)
   num_clients_ = config.num_clients != 0 ? config.num_clients : source_->NumClientsHint();
 }
 
-Micros Simulator::OutcomeLatency(const ReadOutcome& outcome, const SimulationConfig& config) {
-  return coopfs::OutcomeLatency(outcome, config);
-}
-
 Result<SimulationResult> Simulator::Run(Policy& policy, const ContextInspector& inspect) {
   COOPFS_PROFILE_SCOPE("sim/run");
   source_->Reset();

@@ -58,10 +58,6 @@ class Simulator {
 
   const SimulationConfig& config() const { return config_; }
 
-  // Latency charged for one read outcome under `config` (exposed for tests
-  // and for reporting the Figure 3 table).
-  static Micros OutcomeLatency(const ReadOutcome& outcome, const SimulationConfig& config);
-
  private:
   SimulationConfig config_;
   // Adapter owned for the materialized-trace constructor; shared so the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/baseline.h"
+#include "src/engine/cache_engine.h"
 #include "src/sim/validation.h"
 #include "tests/testing/scripted.h"
 
@@ -40,11 +41,11 @@ TEST(SimulatorTest, EventClientOutOfConfiguredRangeFails) {
 
 TEST(SimulatorTest, OutcomeLatencyMatchesFigure3) {
   const SimulationConfig config = TinyConfig(2, 2);  // ATM + Ruemmler-Wilkes.
-  EXPECT_EQ(Simulator::OutcomeLatency({CacheLevel::kLocalMemory, 0, false}, config), 250);
-  EXPECT_EQ(Simulator::OutcomeLatency({CacheLevel::kServerMemory, 2, true}, config), 1050);
-  EXPECT_EQ(Simulator::OutcomeLatency({CacheLevel::kRemoteClient, 3, true}, config), 1250);
-  EXPECT_EQ(Simulator::OutcomeLatency({CacheLevel::kRemoteClient, 2, true}, config), 1050);
-  EXPECT_EQ(Simulator::OutcomeLatency({CacheLevel::kServerDisk, 2, true}, config), 15'850);
+  EXPECT_EQ(OutcomeLatency({CacheLevel::kLocalMemory, 0, false}, config), 250);
+  EXPECT_EQ(OutcomeLatency({CacheLevel::kServerMemory, 2, true}, config), 1050);
+  EXPECT_EQ(OutcomeLatency({CacheLevel::kRemoteClient, 3, true}, config), 1250);
+  EXPECT_EQ(OutcomeLatency({CacheLevel::kRemoteClient, 2, true}, config), 1050);
+  EXPECT_EQ(OutcomeLatency({CacheLevel::kServerDisk, 2, true}, config), 15'850);
 }
 
 TEST(SimulatorTest, BaselineLevelsOnScriptedTrace) {

@@ -13,6 +13,7 @@
 //
 // Exit codes: 0 = run completed and invariants held, 1 = run or export
 // failed (including a post-drain consistency violation), 2 = usage error.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,16 @@ int Usage() {
                "           [--out BENCH.json] [--manifest RUN.json]\n");
   return 2;
 }
+
+// Shortest text that parses back to `value`, so fractional flags re-run
+// exactly.
+std::string ShortestDouble(double value) {
+  char buffer[32];
+  return std::string(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
+// Cache capacity in whole MiB, the unit of the --*-cache-mib flags.
+std::size_t CacheMiB(std::size_t blocks) { return blocks * kBlockSizeBytes / MiB(1); }
 
 int Run(int argc, char** argv) {
   ServeOptions options;
@@ -137,13 +148,20 @@ int Run(int argc, char** argv) {
     manifest.threads = options.client_threads;
     manifest.wall_time_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    // Every flag that shapes the storm, so the command reproduces it.
     manifest.command =
         "coopfs_serve --threads " + std::to_string(options.client_threads) +
         " --shards " + std::to_string(report->shards) + " --clients " +
         std::to_string(options.num_clients) + " --policy " +
         PolicyKindName(options.policy) + " --ops " + std::to_string(options.ops) +
-        " --warmup " + std::to_string(options.warmup_ops) + " --mix " + report->mix +
-        " --seed " + std::to_string(options.seed);
+        " --warmup " + std::to_string(options.warmup_ops) + " --get-fraction " +
+        ShortestDouble(options.get_fraction) + " --mix " + report->mix + " --files " +
+        std::to_string(options.num_files) + " --blocks-per-file " +
+        std::to_string(options.blocks_per_file) + " --zipf " +
+        ShortestDouble(options.zipf_s) + " --think-us " +
+        std::to_string(options.think_time_us) + " --seed " + std::to_string(options.seed) +
+        " --client-cache-mib " + std::to_string(CacheMiB(options.config.client_cache_blocks)) +
+        " --server-cache-mib " + std::to_string(CacheMiB(options.config.server_cache_blocks));
     if (!out_path.empty()) {
       manifest.exports.push_back(RunExport{"bench", std::string(kBenchSchema), out_path});
     }
