@@ -481,7 +481,9 @@ class JsonParser {
       const auto [iend, iec] =
           std::from_chars(token.data(), token.data() + token.size(), out.int_number_);
       out.integral_ = iec == std::errc() && iend == token.data() + token.size();
-    } else {
+    } else if (out.number_ >= -0x1p63 && out.number_ < 0x1p63) {
+      // Truncated like any cast, but only where int64 can hold the result:
+      // outside that range (1e300) the cast is undefined, so AsInt() stays 0.
       out.int_number_ = static_cast<std::int64_t>(out.number_);
     }
     return Status::Ok();

@@ -1,5 +1,7 @@
 #include "src/obs/bench_report.h"
 
+#include <limits>
+
 #include "src/common/build_info.h"
 #include "src/common/json.h"
 #include "src/common/version.h"
@@ -69,6 +71,27 @@ Status BenchReport::WriteFile(const std::string& path) const {
   return WriteTextFile(path, document);
 }
 
+namespace {
+
+// The parser casts count fields to unsigned integers, so each must be an
+// integer token in [0, max] when present: "-1", "1e11" or "0.5" would make
+// that cast undefined or silently wrong.
+Status CheckCount(const JsonValue& object, const char* field, std::uint64_t max,
+                  const std::string& where) {
+  const JsonValue* value = object.Find(field);
+  if (value == nullptr || (value->IsIntegral() && value->AsInt() >= 0 &&
+                           static_cast<std::uint64_t>(value->AsInt()) <= max)) {
+    return Status::Ok();
+  }
+  return Status::DataLoss(where + " field '" + field + "' is not an integer in [0, " +
+                          std::to_string(max) + "]");
+}
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+}  // namespace
+
 Status ValidateBenchDocument(std::string_view json) {
   Result<JsonValue> parsed = ParseJson(json);
   if (!parsed.ok()) {
@@ -88,6 +111,7 @@ Status ValidateBenchDocument(std::string_view json) {
   if (root.FindString("suite") == nullptr) {
     return Status::DataLoss("bench document missing 'suite'");
   }
+  COOPFS_RETURN_IF_ERROR(CheckCount(root, "host_threads", kMaxU32, "bench document"));
   const JsonValue* series = root.FindArray("series");
   if (series == nullptr) {
     return Status::DataLoss("bench document missing 'series' array");
@@ -106,6 +130,9 @@ Status ValidateBenchDocument(std::string_view json) {
         return Status::DataLoss(where + " missing numeric '" + field + "'");
       }
     }
+    COOPFS_RETURN_IF_ERROR(CheckCount(entry, "items", kMaxU64, where));
+    COOPFS_RETURN_IF_ERROR(CheckCount(entry, "peak_rss_bytes", kMaxU64, where));
+    COOPFS_RETURN_IF_ERROR(CheckCount(entry, "iterations", kMaxU32, where));
     // Spread fields are additive: absent is fine (pre-spread documents),
     // present-but-mistyped is not.
     for (const char* field :
@@ -127,6 +154,7 @@ Status ValidateBenchDocument(std::string_view json) {
           return Status::DataLoss(where + " latency missing numeric '" + field + "'");
         }
       }
+      COOPFS_RETURN_IF_ERROR(CheckCount(*latency, "count", kMaxU64, where + " latency"));
     }
   }
   return Status::Ok();
@@ -142,7 +170,7 @@ Result<BenchReport> ParseBenchDocument(std::string_view json) {
   BenchReport report;
   report.suite = root.FindString("suite")->AsString();
   if (const JsonValue* host = root.FindNumber("host_threads"); host != nullptr) {
-    report.host_threads = static_cast<std::uint32_t>(host->AsDouble());
+    report.host_threads = static_cast<std::uint32_t>(host->AsInt());
   }
   const JsonValue* sha = root.FindString("git_sha");
   report.git_sha = sha != nullptr ? sha->AsString() : "unknown";
@@ -154,11 +182,11 @@ Result<BenchReport> ParseBenchDocument(std::string_view json) {
     series.unit = entry.FindString("unit")->AsString();
     series.ops_per_sec = entry.FindNumber("ops_per_sec")->AsDouble();
     series.wall_seconds = entry.FindNumber("wall_s")->AsDouble();
-    series.items = static_cast<std::uint64_t>(entry.FindNumber("items")->AsDouble());
+    series.items = static_cast<std::uint64_t>(entry.FindNumber("items")->AsInt());
     series.peak_rss_bytes =
-        static_cast<std::uint64_t>(entry.FindNumber("peak_rss_bytes")->AsDouble());
+        static_cast<std::uint64_t>(entry.FindNumber("peak_rss_bytes")->AsInt());
     if (const JsonValue* iters = entry.FindNumber("iterations"); iters != nullptr) {
-      series.iterations = static_cast<std::uint32_t>(iters->AsDouble());
+      series.iterations = static_cast<std::uint32_t>(iters->AsInt());
     }
     series.ops_per_sec_min = series.ops_per_sec;
     series.ops_per_sec_median = series.ops_per_sec;
@@ -177,7 +205,7 @@ Result<BenchReport> ParseBenchDocument(std::string_view json) {
     }
     if (const JsonValue* latency = entry.Find("latency"); latency != nullptr) {
       BenchLatency lat;
-      lat.count = static_cast<std::uint64_t>(latency->FindNumber("count")->AsDouble());
+      lat.count = static_cast<std::uint64_t>(latency->FindNumber("count")->AsInt());
       lat.p50_us = latency->FindNumber("p50_us")->AsDouble();
       lat.p90_us = latency->FindNumber("p90_us")->AsDouble();
       lat.p95_us = latency->FindNumber("p95_us")->AsDouble();

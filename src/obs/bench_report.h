@@ -96,7 +96,7 @@ struct BenchReport {
 Status ValidateBenchDocument(std::string_view json);
 
 // Validates and parses a "coopfs.bench/v1" document back into a BenchReport
-// (tools-side consumption: bench_compare, the scaling gate).
+// (tools-side consumption: bench_compare and its gate table).
 Result<BenchReport> ParseBenchDocument(std::string_view json);
 
 // Peak resident set size of this process in bytes, or 0 where unsupported.

@@ -7,7 +7,9 @@
 
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -291,6 +293,26 @@ TEST(BenchReportTest, SeriesRoundTrip) {
   EXPECT_EQ(static_cast<std::uint64_t>(entry.FindNumber("items")->AsInt()), 700'000u);
 }
 
+// A serve-shaped report: every series carries a latency object.
+BenchReport LatencyReport() {
+  const auto series = [](const char* name, double p50, double p999) {
+    BenchSeries out;
+    out.name = name;
+    out.unit = "ops/s";
+    out.ops_per_sec = 1e6;
+    out.items = 6'000;
+    out.latency = BenchLatency{.count = 6'000, .p50_us = p50, .p90_us = p50 + 5,
+                               .p95_us = p50 + 8, .p99_us = p50 + 10, .p999_us = p999,
+                               .mean_us = p50, .min_us = p50, .max_us = p999};
+    return out;
+  };
+  BenchReport report;
+  report.suite = "coopfs_serve";
+  report.series.push_back(series("serve_get_local", 250.0, 280.0));
+  report.series.push_back(series("serve_get_server_disk", 15'850.0, 15'950.0));
+  return report;
+}
+
 TEST(BenchReportTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ValidateBenchDocument(R"({"schema": "coopfs.bench/v1"})").ok());
   EXPECT_FALSE(ValidateBenchDocument(
@@ -299,6 +321,62 @@ TEST(BenchReportTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ValidateBenchDocument(
                    R"({"schema": "coopfs.bench/v1", "suite": "s", "series": [{"name": "x"}]})")
                    .ok());
+
+  // Count fields must be integer tokens within their type: each of these
+  // used to reach an undefined double-to-unsigned cast in the parser.
+  const std::string valid = LatencyReport().ToJson();
+  ASSERT_TRUE(ParseBenchDocument(valid).ok());
+  const std::pair<const char*, const char*> kHostile[] = {
+      {"host_threads", "-1"},   {"host_threads", "1e11"},  {"host_threads", "4294967296"},
+      {"host_threads", "\"4\""}, {"items", "-5"},          {"items", "0.5"},
+      {"peak_rss_bytes", "18446744073709551616"},         {"iterations", "4294967296"},
+      {"iterations", "-1"},     {"count", "-1"},           {"count", "1e300"}};
+  for (const auto& [key, value] : kHostile) {
+    const std::string json = std::regex_replace(
+        valid, std::regex(std::string("\"") + key + "\": [0-9]+"),
+        std::string("\"") + key + "\": " + value, std::regex_constants::format_first_only);
+    ASSERT_NE(json, valid) << key;
+    EXPECT_EQ(ParseBenchDocument(json).status().code(), StatusCode::kDataLoss) << key << value;
+  }
+}
+
+TEST(BenchReportTest, BenchLatencyRoundTripsThroughDocument) {
+  const BenchReport report = LatencyReport();
+  const std::string json = report.ToJson();
+  ASSERT_TRUE(ValidateBenchDocument(json).ok());
+
+  Result<BenchReport> parsed = ParseBenchDocument(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->series.size(), report.series.size());
+  for (std::size_t i = 0; i < report.series.size(); ++i) {
+    ASSERT_TRUE(parsed->series[i].latency.has_value()) << report.series[i].name;
+    EXPECT_EQ(parsed->series[i].latency->count, report.series[i].latency->count);
+    EXPECT_DOUBLE_EQ(parsed->series[i].latency->p50_us, report.series[i].latency->p50_us);
+    EXPECT_DOUBLE_EQ(parsed->series[i].latency->p999_us, report.series[i].latency->p999_us);
+    EXPECT_DOUBLE_EQ(parsed->series[i].latency->max_us, report.series[i].latency->max_us);
+  }
+
+  // The latency object stays additive: a throughput-only series round-trips
+  // with the optional empty.
+  BenchReport plain;
+  BenchSeries series;
+  series.name = "replay_baseline";
+  series.ops_per_sec = 1e6;
+  plain.series.push_back(series);
+  Result<BenchReport> plain_parsed = ParseBenchDocument(plain.ToJson());
+  ASSERT_TRUE(plain_parsed.ok());
+  EXPECT_FALSE(plain_parsed->series[0].latency.has_value());
+}
+
+// A latency object with a mistyped field is a validation error, matching the
+// additive-extension contract (absent fine, present-but-wrong rejected).
+TEST(BenchReportTest, MistypedLatencyFieldFailsValidation) {
+  std::string json = LatencyReport().ToJson();
+  const std::string needle = "\"p999_us\": 280";
+  const std::size_t pos = json.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  json.replace(pos, needle.size(), "\"p999_us\": \"fast\"");
+  EXPECT_FALSE(ValidateBenchDocument(json).ok());
 }
 
 TEST(BenchReportTest, PeakRssIsPlausible) {

@@ -12,7 +12,7 @@
 #include <limits>
 #include <vector>
 
-#include "src/obs/serve_gate.h"
+#include "src/obs/bench_gate.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload.h"
 
@@ -125,7 +125,7 @@ TEST(ServeHarnessTest, BenchDocumentRoundTripsAndPassesServeGate) {
   ASSERT_EQ(parsed->series.size(), bench.series.size());
   const BenchSeries* total = nullptr;
   for (const BenchSeries& series : parsed->series) {
-    if (series.name == kServeThroughputSeries) {
+    if (series.name == "serve_throughput") {
       total = &series;
     }
   }
@@ -134,9 +134,9 @@ TEST(ServeHarnessTest, BenchDocumentRoundTripsAndPassesServeGate) {
   EXPECT_EQ(total->latency->count, report->ops);
   EXPECT_DOUBLE_EQ(total->latency->p999_us, report->total.p999_us);
 
-  const ServeGateResult gate = EvaluateServeGate(*parsed);
-  EXPECT_TRUE(gate.applicable);
-  EXPECT_TRUE(gate.passed) << (gate.failures.empty() ? "" : gate.failures.front());
+  const GateResult gates = EvaluateBenchGates(*parsed);
+  EXPECT_TRUE(gates.failures.empty()) << gates.failures.front();
+  EXPECT_NE(std::find(gates.passed.begin(), gates.passed.end(), "SERVE"), gates.passed.end());
 }
 
 TEST(ServeHarnessTest, TraceMixRunsAndConserves) {

@@ -1,42 +1,19 @@
-// Perf-regression gate: compares "coopfs.bench/v1" documents.
+// Bench gate: holds "coopfs.bench/v1" documents to the rule table in
+// src/obs/bench_gate.cc.
 //
-// Usage: bench_compare BASELINE.json CANDIDATE.json [--threshold PCT]
-//            [--scaling-floor F] [--mono-tolerance F] [--no-scaling-gate]
-//            [--obs-overhead F] [--no-obs-gate]
-//            [--serve-p99-slack F] [--no-serve-gate]
-//        bench_compare DOC.json [--scaling-floor F] [--mono-tolerance F]
-//            [--obs-overhead F] [--no-obs-gate]
-//            [--serve-p99-slack F] [--no-serve-gate]
+// Usage: bench_compare BASELINE.json CANDIDATE.json
+//        bench_compare DOC.json
 //
-// Two-document mode prints a per-series throughput delta table for every
-// series present in both documents, then exits non-zero if any replay
-// series (name starting with "replay_") in the candidate is more than PCT
-// percent slower than the baseline (default 10), or if a baseline replay
-// series is missing from the candidate. Non-replay series (microbenches,
-// exports) are reported but do not gate: they are noisier and
-// machine-dependent, while the replay series are the numbers the paper
-// reproduction actually spends its time in.
-//
-// In both modes the candidate (or sole) document's parallel_sweep_<T>t
-// series additionally pass through the scaling-efficiency gate
-// (src/obs/scaling_gate.h): the 2t/1t speedup must reach the efficiency
-// floor times what the document's host_threads made attainable, and
-// throughput must stay monotonic (within tolerance) as threads are added.
-// --no-scaling-gate disables that check (two-document mode only).
-//
-// The candidate document also passes through the observability-overhead
-// gate (src/obs/obs_gate.h): the replay_bounded_metrics series must retain
-// at least (1 - F) of the replay_serial_nchance throughput (default
-// F = 0.15), bounding what the bounded-memory telemetry may cost on the
-// replay hot path. --obs-overhead F adjusts the ceiling; --no-obs-gate
-// disables the check.
-//
-// Documents carrying coopfs_serve series (serve_*) additionally pass
-// through the serve-latency gate (src/obs/serve_gate.h): local-memory hits
-// must be present, per-series quantiles monotonic, per-level medians ordered
-// like the memory hierarchy, and — in two-document mode — each shared serve
-// series' p99 may grow by at most F (default 0.5) over the baseline.
-// --serve-p99-slack F adjusts the slack; --no-serve-gate disables the check.
+// Two-document mode prints a throughput delta table for every series the
+// two documents share, then evaluates every rule on the candidate, the two
+// baseline rules included: each baseline replay_* series must reach 0.90 x
+// its baseline throughput in the candidate, and each shared serve_* p99 may
+// grow at most 50%. Single-document mode evaluates the rules that need no
+// baseline: the sweep's scaling floor and monotonicity, the bounded-metrics
+// overhead ceiling, and the serve quantile and memory-hierarchy orderings.
+// Each violated bound prints one "bench_compare: <GATE> <series>: ..." line
+// with GATE one of REGRESSION, SCALING, OBS, SERVE; docs/performance.md
+// lists every row and the reason for its bound.
 //
 // On any gate failure the tool prints both documents' provenance (git_sha,
 // build_type, host_threads) and, in two-document mode, attributes the
@@ -53,8 +30,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -64,11 +39,9 @@
 #include <vector>
 
 #include "src/common/format.h"
+#include "src/obs/bench_gate.h"
 #include "src/obs/bench_report.h"
-#include "src/obs/obs_gate.h"
 #include "src/obs/run_diff.h"
-#include "src/obs/scaling_gate.h"
-#include "src/obs/serve_gate.h"
 
 namespace coopfs {
 namespace {
@@ -91,46 +64,21 @@ std::optional<BenchReport> LoadReport(const std::string& path) {
   return *std::move(report);
 }
 
-const BenchSeries* FindByName(const std::vector<BenchSeries>& series,
-                              std::string_view name) {
-  for (const BenchSeries& sample : series) {
-    if (sample.name == name) {
-      return &sample;
-    }
-  }
-  return nullptr;
-}
-
-bool IsGated(std::string_view name) { return name.rfind("replay_", 0) == 0; }
-
-// The >10%-slower replay gate (two-document mode). Appends failure lines.
-void CheckReplayRegressions(const BenchReport& baseline, const BenchReport& candidate,
-                            double threshold_pct, std::vector<std::string>* failures) {
-  TableFormatter table({"Series", "Baseline", "Candidate", "Delta", "Gate"});
+// Throughput of every series both documents carry, baseline -> candidate.
+void PrintDeltaTable(const BenchReport& baseline, const BenchReport& candidate) {
+  TableFormatter table({"Series", "Baseline", "Candidate", "Delta"});
   for (const BenchSeries& base : baseline.series) {
-    const BenchSeries* cand = FindByName(candidate.series, base.name);
-    if (cand == nullptr) {
-      if (IsGated(base.name)) {
-        failures->push_back(base.name + ": missing from candidate");
-      }
+    const auto cand = std::find_if(candidate.series.begin(), candidate.series.end(),
+                                   [&base](const BenchSeries& s) { return s.name == base.name; });
+    if (cand == candidate.series.end()) {
       continue;
     }
     const double delta_pct = base.ops_per_sec > 0.0
         ? (cand->ops_per_sec - base.ops_per_sec) / base.ops_per_sec * 100.0
         : 0.0;
-    const bool gated = IsGated(base.name);
-    const bool regressed = gated && delta_pct < -threshold_pct;
     table.AddRow({base.name, FormatDouble(base.ops_per_sec / 1e6, 2) + " M/s",
                   FormatDouble(cand->ops_per_sec / 1e6, 2) + " M/s",
-                  FormatDouble(delta_pct, 1) + " %",
-                  regressed ? "FAIL" : (gated ? "ok" : "-")});
-    if (regressed) {
-      failures->push_back(base.name + ": " + FormatDouble(-delta_pct, 1) +
-                          "% slower (baseline " +
-                          FormatDouble(base.ops_per_sec / 1e6, 2) + " M/s -> candidate " +
-                          FormatDouble(cand->ops_per_sec / 1e6, 2) + " M/s, threshold " +
-                          FormatDouble(threshold_pct, 1) + "%)");
-    }
+                  FormatDouble(delta_pct, 1) + " %"});
   }
   std::printf("%s", table.ToString().c_str());
 }
@@ -203,149 +151,52 @@ void PrintSuspects(const std::string& baseline_path, const std::string& candidat
 }
 
 int Run(int argc, char** argv) {
-  double threshold_pct = 10.0;
-  ScalingGateOptions scaling;
-  bool scaling_gate_enabled = true;
-  ObsGateOptions obs;
-  bool obs_gate_enabled = true;
-  ServeGateOptions serve;
-  bool serve_gate_enabled = true;
-  std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold_pct = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--scaling-floor") == 0 && i + 1 < argc) {
-      scaling.efficiency_floor = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--mono-tolerance") == 0 && i + 1 < argc) {
-      scaling.monotonicity_tolerance = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--no-scaling-gate") == 0) {
-      scaling_gate_enabled = false;
-    } else if (std::strcmp(argv[i], "--obs-overhead") == 0 && i + 1 < argc) {
-      obs.max_overhead = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--no-obs-gate") == 0) {
-      obs_gate_enabled = false;
-    } else if (std::strcmp(argv[i], "--serve-p99-slack") == 0 && i + 1 < argc) {
-      serve.max_p99_regression = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--no-serve-gate") == 0) {
-      serve_gate_enabled = false;
-    } else {
-      paths.emplace_back(argv[i]);
-    }
-  }
-  if (paths.empty() || paths.size() > 2) {
+  if (argc < 2 || argc > 3) {
     std::fprintf(stderr,
-                 "usage: bench_compare BASELINE.json CANDIDATE.json"
-                 " [--threshold PCT] [--scaling-floor F] [--mono-tolerance F]"
-                 " [--no-scaling-gate] [--obs-overhead F] [--no-obs-gate]"
-                 " [--serve-p99-slack F] [--no-serve-gate]\n"
-                 "       bench_compare DOC.json [--scaling-floor F]"
-                 " [--mono-tolerance F] [--obs-overhead F] [--no-obs-gate]"
-                 " [--serve-p99-slack F] [--no-serve-gate]\n");
+                 "usage: bench_compare BASELINE.json CANDIDATE.json\n"
+                 "       bench_compare DOC.json\n");
     return 2;
   }
-
-  std::vector<std::string> failures;
+  const std::vector<std::string> paths(argv + 1, argv + argc);
   std::optional<BenchReport> baseline;
-  std::optional<BenchReport> candidate;
   if (paths.size() == 2) {
     baseline = LoadReport(paths[0]);
-    candidate = LoadReport(paths[1]);
-    if (!baseline.has_value() || !candidate.has_value()) {
+    if (!baseline.has_value()) {
       return 2;
     }
-    CheckReplayRegressions(*baseline, *candidate, threshold_pct, &failures);
-    if (failures.empty()) {
-      std::printf("bench_compare: no replay series regressed more than %s%%\n",
-                  FormatDouble(threshold_pct, 1).c_str());
-    }
+  }
+  const std::optional<BenchReport> candidate = LoadReport(paths.back());
+  if (!candidate.has_value()) {
+    return 2;
+  }
+  if (baseline.has_value()) {
+    PrintDeltaTable(*baseline, *candidate);
+  }
+
+  const GateResult gates =
+      EvaluateBenchGates(*candidate, baseline.has_value() ? &*baseline : nullptr);
+  for (const std::string& note : gates.notes) {
+    std::printf("bench_compare: note: %s\n", note.c_str());
+  }
+  for (const std::string& gate : gates.passed) {
+    std::printf("bench_compare: %s gate passed\n", gate.c_str());
+  }
+  if (gates.failures.empty()) {
+    return 0;
+  }
+  for (const std::string& failure : gates.failures) {
+    std::fprintf(stderr, "bench_compare: %s\n", failure.c_str());
+  }
+  // Forensics for the failure block: whose builds were compared, and —
+  // when both runs shipped sidecars — which spans/windows moved.
+  if (baseline.has_value()) {
+    PrintProvenance("baseline", paths[0], *baseline);
+    PrintProvenance("candidate", paths[1], *candidate);
+    PrintSuspects(paths[0], paths[1]);
   } else {
-    candidate = LoadReport(paths[0]);
-    if (!candidate.has_value()) {
-      return 2;
-    }
+    PrintProvenance("candidate", paths[0], *candidate);
   }
-
-  if (scaling_gate_enabled) {
-    const ScalingGateResult gate = EvaluateScalingGate(*candidate, scaling);
-    for (const std::string& note : gate.notes) {
-      std::printf("bench_compare: note: %s\n", note.c_str());
-    }
-    if (!gate.applicable) {
-      std::printf("bench_compare: scaling gate not applicable (no sweep series)\n");
-    } else if (gate.passed) {
-      std::printf(
-          "bench_compare: scaling gate passed (floor %s, monotonicity tolerance %s)\n",
-          FormatDouble(scaling.efficiency_floor, 2).c_str(),
-          FormatDouble(scaling.monotonicity_tolerance, 2).c_str());
-    } else {
-      for (const std::string& failure : gate.failures) {
-        failures.push_back("scaling: " + failure);
-      }
-    }
-  }
-
-  if (obs_gate_enabled) {
-    const ObsGateResult gate = EvaluateObsGate(*candidate, obs);
-    for (const std::string& note : gate.notes) {
-      std::printf("bench_compare: note: %s\n", note.c_str());
-    }
-    if (!gate.applicable) {
-      std::printf("bench_compare: obs gate not applicable (no bounded-metrics series)\n");
-    } else if (gate.passed) {
-      std::printf("bench_compare: obs gate passed (overhead ceiling %s)\n",
-                  FormatDouble(obs.max_overhead, 2).c_str());
-    } else {
-      for (const std::string& failure : gate.failures) {
-        failures.push_back("obs: " + failure);
-      }
-    }
-  }
-
-  if (serve_gate_enabled) {
-    const ServeGateResult gate = EvaluateServeGate(
-        *candidate, baseline.has_value() ? &*baseline : nullptr, serve);
-    for (const std::string& note : gate.notes) {
-      std::printf("bench_compare: note: %s\n", note.c_str());
-    }
-    if (!gate.applicable) {
-      std::printf("bench_compare: serve gate not applicable (no serve series)\n");
-    } else if (gate.passed) {
-      std::printf("bench_compare: serve gate passed (p99 slack %s)\n",
-                  FormatDouble(serve.max_p99_regression, 2).c_str());
-    } else {
-      for (const std::string& failure : gate.failures) {
-        failures.push_back("serve: " + failure);
-      }
-    }
-  }
-
-  if (!failures.empty()) {
-    for (const std::string& failure : failures) {
-      if (failure.rfind("scaling: ", 0) == 0) {
-        std::fprintf(stderr, "bench_compare: SCALING %s\n",
-                     failure.c_str() + std::strlen("scaling: "));
-      } else if (failure.rfind("obs: ", 0) == 0) {
-        std::fprintf(stderr, "bench_compare: OBS %s\n",
-                     failure.c_str() + std::strlen("obs: "));
-      } else if (failure.rfind("serve: ", 0) == 0) {
-        std::fprintf(stderr, "bench_compare: SERVE %s\n",
-                     failure.c_str() + std::strlen("serve: "));
-      } else {
-        std::fprintf(stderr, "bench_compare: REGRESSION %s\n", failure.c_str());
-      }
-    }
-    // Forensics for the failure block: whose builds were compared, and —
-    // when both runs shipped sidecars — which spans/windows moved.
-    if (baseline.has_value()) {
-      PrintProvenance("baseline", paths[0], *baseline);
-      PrintProvenance("candidate", paths[1], *candidate);
-      PrintSuspects(paths[0], paths[1]);
-    } else {
-      PrintProvenance("candidate", paths[0], *candidate);
-    }
-    return 1;
-  }
-  return 0;
+  return 1;
 }
 
 }  // namespace
