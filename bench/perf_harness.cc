@@ -24,6 +24,12 @@
 //                            generating and replaying them separately, and
 //                            the replay_ prefix keeps the series under the
 //                            bench_compare regression gate
+//   * replay_len_<p>_2m     — N-Chance and Greedy each replaying a streamed
+//                            2M-event Sprite trace, whatever --events says:
+//                            trace length as a measured axis. The LENGTH
+//                            gate holds N-Chance to at least half of
+//                            Greedy's rate there, where any victim search
+//                            that grows with the cache would show
 //   * replay_traced_nchance — the N-Chance replay with a TraceRecorder
 //                            attached (vs. replay_serial_nchance: the cost
 //                            of per-event recording; disabled tracing is a
@@ -374,6 +380,34 @@ int Run(int argc, char** argv) {
     }
     report.series.push_back(
         MakeSpreadSeries("replay_streaming_nchance", trace.size(), pass_seconds));
+  }
+
+  // 2c. Trace length: the same streamed Sprite workload at 2M events for
+  //     N-Chance and Greedy. Caches fill with flag-marked singlets and
+  //     recirculating copies only well past the paper's 700k events, so
+  //     this is where a victim search that scans the cache shows up.
+  {
+    constexpr std::uint64_t kLongEvents = 2'000'000;
+    WorkloadConfig workload = SpriteWorkloadConfig(options.seed);
+    workload.num_events = kLongEvents;
+    const SimulationConfig long_config = HarnessConfig(options, kLongEvents);
+    constexpr ReplayCase kLengthCases[] = {
+        {"replay_len_nchance_2m", PolicyKind::kNChance},
+        {"replay_len_greedy_2m", PolicyKind::kGreedy},
+    };
+    for (const ReplayCase& replay : kLengthCases) {
+      std::vector<double> pass_seconds;
+      std::uint64_t events = 0;
+      for (int pass = 0; pass < kGatedSeriesPasses; ++pass) {
+        const std::unique_ptr<EventSource> source = MakeWorkloadEventSource(workload);
+        Simulator simulator(long_config, source.get());
+        const auto start = StartSeries();
+        const SimulationResult result = MustRun(simulator, replay.kind);
+        pass_seconds.push_back(SecondsSince(start));
+        events = result.counters.events_replayed;
+      }
+      report.series.push_back(MakeSpreadSeries(replay.series_name, events, pass_seconds));
+    }
   }
 
   // 3. Event-tracing overhead: the most bookkeeping-heavy replay again with

@@ -8,18 +8,32 @@
 // Weighted-LRU.
 //
 // Policies need fine-grained control of replacement (N-Chance's modified
-// victim selection scans from the LRU end), so eviction is explicit: Insert
-// requires free space and callers evict first, either EvictLru() or by
-// scanning with entries in LRU order.
+// victim selection picks from the LRU end by class), so eviction is
+// explicit: Insert requires free space and callers evict first, either
+// EvictLru() or by choosing an entry themselves.
 //
 // Storage layout (replay hot path): entries live in a slab sized to the
 // fixed capacity at construction, so CacheEntry pointers — and the intrusive
 // LRU list nodes they embed — are stable for the cache's lifetime. A
 // FlatHashMap from packed BlockId to slab slot, reserved up front, makes
 // every Find/Touch/Insert/Erase allocation-free and rehash-free.
+//
+// Victim classes (N-Chance caches only): a tracking cache also threads its
+// entries onto LRU-ordered sublists by the class N-Chance's ripple-free
+// replacement (paper §2.4) picks from, so a peer admitting a recirculated
+// block finds its victim without scanning the cache:
+//   * class 0, "unqueried": neither recirculating nor flag-marked singlet;
+//   * class c in 1..max_count: recirculating with c recirculations left.
+// Flag-marked singlets that are not recirculating sit on no sublist. In a
+// tracking cache every Insert and Touch renews the entry's LRU stamp, so the
+// main list is in stamp order and each sublist is too. Insert, Touch and
+// Erase keep the sublists current; after writing an entry's
+// recirculation_count or singlet_flag in place, call Reclassify. Caches
+// that do not track pay one predictable branch per Insert, Touch and Erase.
 #ifndef COOPFS_SRC_CACHE_BLOCK_CACHE_H_
 #define COOPFS_SRC_CACHE_BLOCK_CACHE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -32,9 +46,25 @@
 
 namespace coopfs {
 
-struct CacheEntry {
+// One cached copy: one 64-byte cache line of slab.
+struct alignas(64) CacheEntry {
+  // Ends a victim-class sublist; marks an entry on none.
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint16_t kNoClass = UINT16_MAX;
+
   BlockId block;
   IntrusiveListNode lru_node;
+
+  // Recency in a cache that tracks victim classes: larger is more recent.
+  // Renewed by Insert and Touch there; 0 elsewhere.
+  std::uint64_t lru_stamp = 0;
+
+  // Simulated time of the last reference to this copy (Weighted-LRU ages).
+  Micros last_ref = 0;
+
+  // Victim-class sublist links (slab slots), toward the old and new ends.
+  std::uint32_t class_older = kNoSlot;
+  std::uint32_t class_newer = kNoSlot;
 
   // N-Chance: recirculations remaining. > 0 means this copy is a singlet
   // recirculating through caches it was forwarded to (global data).
@@ -45,18 +75,27 @@ struct CacheEntry {
   // repeat is-singlet query; reset when another client fetches a copy.
   bool singlet_flag = false;
 
-  // Simulated time of the last reference to this copy (Weighted-LRU ages).
-  Micros last_ref = 0;
-
   // Delayed-write extension: this copy holds data newer than the server's.
   bool dirty = false;
-  Micros dirty_since = 0;
+
+  // The victim-class sublist this entry sits on, or kNoClass. Two bytes:
+  // counts 1..255 plus the unqueried class and kNoClass.
+  std::uint16_t victim_class = kNoClass;
 
   bool recirculating() const { return recirculation_count > 0; }
 };
 
-class BlockCache {
+// A wider entry costs every cache in the process a slab line per block
+// (peak RSS on long replays); see docs/performance.md "Victim selection".
+static_assert(sizeof(CacheEntry) == 64);
+
+// Aligned so that caches of different serve shards, allocated side by side,
+// never share a cache line their owning threads both write.
+class alignas(64) BlockCache {
  public:
+  // The sublist of entries neither recirculating nor flag-marked singlets.
+  static constexpr std::size_t kUnqueried = 0;
+
   // Capacity in 8 KB blocks. A zero-capacity cache is legal (e.g. the local
   // section when 100% of client memory is centrally coordinated) and simply
   // rejects insertion. The entry slab and the index are fully allocated
@@ -67,7 +106,8 @@ class BlockCache {
       : capacity_(capacity_blocks),
         slab_(capacity_blocks, ArenaAllocator<CacheEntry>(arena)),
         free_slots_(ArenaAllocator<std::uint32_t>(arena)),
-        index_(arena) {
+        index_(arena),
+        classes_(ArenaAllocator<ClassList>(arena)) {
     index_.Reserve(capacity_);
     free_slots_.reserve(capacity_);
     // Pop from the back: slots are handed out in ascending order.
@@ -104,6 +144,13 @@ class BlockCache {
     CacheEntry* entry = Find(block);
     if (entry != nullptr) {
       lru_.MoveToFront(entry);
+      if (tracks_victim_classes()) {
+        entry->lru_stamp = ++stamp_;
+        if (entry->victim_class != CacheEntry::kNoClass &&
+            entry->class_newer != CacheEntry::kNoSlot) {
+          MoveToClassNewest(*entry);
+        }
+      }
     }
     return entry;
   }
@@ -120,6 +167,10 @@ class BlockCache {
     entry = CacheEntry{};  // Fresh metadata; the slot's node is unlinked.
     entry.block = block;
     lru_.PushFront(&entry);
+    if (tracks_victim_classes()) {
+      entry.lru_stamp = ++stamp_;
+      LinkNewest(entry, kUnqueried);
+    }
     return entry;
   }
 
@@ -130,6 +181,9 @@ class BlockCache {
       return false;
     }
     const std::uint32_t freed = *slot;
+    if (slab_[freed].victim_class != CacheEntry::kNoClass) {
+      UnlinkClass(slab_[freed]);
+    }
     lru_.Remove(&slab_[freed]);
     index_.Erase(block.Pack());
     free_slots_.push_back(freed);
@@ -152,10 +206,6 @@ class BlockCache {
     return copy;
   }
 
-  // Moves an entry (must belong to this cache) to the MRU / LRU position.
-  void MoveToMru(CacheEntry* entry) { lru_.MoveToFront(entry); }
-  void MoveToLru(CacheEntry* entry) { lru_.MoveToBack(entry); }
-
   // Visits entries from LRU to MRU until `visitor` returns true (stop) or
   // `limit` entries have been seen (0 = no limit). Returns the entry the
   // visitor stopped on, or nullptr. The visitor must not mutate the cache.
@@ -175,6 +225,71 @@ class BlockCache {
       node = prev;
     }
     return nullptr;
+  }
+
+  // ---- Victim classes (see the file comment) ----
+
+  // Stamps the current contents in LRU order, builds sublists for the
+  // unqueried class and recirculation counts 1..max_count from them, and
+  // keeps both from now on. (The scan reads only the main list; it writes
+  // only stamps and sublist links.)
+  void TrackVictimClasses(std::uint8_t max_count) {
+    classes_.assign(std::size_t{max_count} + 1, ClassList{});
+    ScanFromLru([this](CacheEntry& entry) {
+      entry.lru_stamp = ++stamp_;
+      entry.victim_class = CacheEntry::kNoClass;
+      if (const std::uint16_t victim_class = ClassOf(entry);
+          victim_class != CacheEntry::kNoClass) {
+        LinkNewest(entry, victim_class);
+      }
+      return false;
+    });
+  }
+
+  bool tracks_victim_classes() const { return !classes_.empty(); }
+
+  // Number of sublists (max_count + 1), 0 when not tracking.
+  std::size_t victim_class_count() const { return classes_.size(); }
+
+  // The sublist `entry`'s fields call for: kUnqueried, its recirculation
+  // count, or CacheEntry::kNoClass for a flag-marked singlet.
+  static std::uint16_t ClassOf(const CacheEntry& entry) {
+    if (entry.recirculating()) {
+      return entry.recirculation_count;
+    }
+    return entry.singlet_flag ? CacheEntry::kNoClass : std::uint16_t{kUnqueried};
+  }
+
+  // Moves `entry` (of this cache) to the sublist its fields now call for,
+  // at the place its stamp gives. O(1) when its class is unchanged or it is
+  // the newest of its new class; otherwise it walks to its place (see
+  // LinkByStamp).
+  void Reclassify(CacheEntry& entry) {
+    const std::uint16_t victim_class = ClassOf(entry);
+    if (!tracks_victim_classes() || victim_class == entry.victim_class) {
+      return;
+    }
+    assert((victim_class == CacheEntry::kNoClass || victim_class < classes_.size()) &&
+           "recirculation count beyond the tracked range");
+    if (entry.victim_class != CacheEntry::kNoClass) {
+      UnlinkClass(entry);
+    }
+    if (victim_class != CacheEntry::kNoClass) {
+      LinkByStamp(entry, victim_class);
+    }
+  }
+
+  // Oldest entry of sublist `victim_class`, or nullptr when it is empty.
+  CacheEntry* OldestInClass(std::size_t victim_class) {
+    return At(classes_[victim_class].oldest);
+  }
+  const CacheEntry* OldestInClass(std::size_t victim_class) const {
+    return At(classes_[victim_class].oldest);
+  }
+
+  // The next newer entry on `entry`'s sublist, or nullptr at its new end.
+  const CacheEntry* NewerInClass(const CacheEntry& entry) const {
+    return At(entry.class_newer);
   }
 
   // Visits every entry in unspecified, capacity-dependent order
@@ -207,6 +322,7 @@ class BlockCache {
 
   // Removes every entry. (Used by tests.)
   void Clear() {
+    std::fill(classes_.begin(), classes_.end(), ClassList{});
     lru_.Clear();
     index_.Clear();
     free_slots_.clear();
@@ -216,6 +332,101 @@ class BlockCache {
   }
 
  private:
+  // One victim-class sublist's ends (slab slots).
+  struct ClassList {
+    std::uint32_t oldest = CacheEntry::kNoSlot;
+    std::uint32_t newest = CacheEntry::kNoSlot;
+  };
+
+  std::uint32_t SlotOf(const CacheEntry& entry) const {
+    return static_cast<std::uint32_t>(&entry - slab_.data());
+  }
+  CacheEntry* At(std::uint32_t slot) {
+    return slot == CacheEntry::kNoSlot ? nullptr : &slab_[slot];
+  }
+  const CacheEntry* At(std::uint32_t slot) const {
+    return slot == CacheEntry::kNoSlot ? nullptr : &slab_[slot];
+  }
+
+  void UnlinkClass(CacheEntry& entry) {
+    ClassList& list = classes_[entry.victim_class];
+    (entry.class_older == CacheEntry::kNoSlot ? list.oldest
+                                              : slab_[entry.class_older].class_newer) =
+        entry.class_newer;
+    (entry.class_newer == CacheEntry::kNoSlot ? list.newest
+                                              : slab_[entry.class_newer].class_older) =
+        entry.class_older;
+    entry.class_older = CacheEntry::kNoSlot;
+    entry.class_newer = CacheEntry::kNoSlot;
+    entry.victim_class = CacheEntry::kNoClass;
+  }
+
+  // Links the (unlinked) entry in front of `newer`, or at the new end when
+  // `newer` is kNoSlot.
+  void LinkBefore(CacheEntry& entry, std::uint16_t victim_class, std::uint32_t newer) {
+    assert(victim_class < classes_.size() && "recirculation count beyond the tracked range");
+    ClassList& list = classes_[victim_class];
+    const std::uint32_t slot = SlotOf(entry);
+    const std::uint32_t older = newer == CacheEntry::kNoSlot ? list.newest
+                                                             : slab_[newer].class_older;
+    entry.class_older = older;
+    entry.class_newer = newer;
+    entry.victim_class = victim_class;
+    (older == CacheEntry::kNoSlot ? list.oldest : slab_[older].class_newer) = slot;
+    (newer == CacheEntry::kNoSlot ? list.newest : slab_[newer].class_older) = slot;
+  }
+
+  void LinkNewest(CacheEntry& entry, std::uint16_t victim_class) {
+    LinkBefore(entry, victim_class, CacheEntry::kNoSlot);
+  }
+
+  // Touch's relink, for an entry with a newer member in its class: the
+  // same effect as UnlinkClass + LinkNewest, in the fewest stores.
+  void MoveToClassNewest(CacheEntry& entry) {
+    ClassList& list = classes_[entry.victim_class];
+    const std::uint32_t slot = SlotOf(entry);
+    slab_[entry.class_newer].class_older = entry.class_older;
+    (entry.class_older == CacheEntry::kNoSlot ? list.oldest
+                                              : slab_[entry.class_older].class_newer) =
+        entry.class_newer;
+    slab_[list.newest].class_newer = slot;
+    entry.class_older = list.newest;
+    entry.class_newer = CacheEntry::kNoSlot;
+    list.newest = slot;
+  }
+
+  // Links the (unlinked) entry where its stamp puts it in `victim_class`.
+  // Past the O(1) newest case, two cursors advance in step and the first to
+  // find the place wins: one walks the class from its old end to the first
+  // newer member, the other walks the main list from the entry toward the
+  // LRU end to the nearest older member. The first is short when the class
+  // holds few older entries, the second when the class is dense.
+  void LinkByStamp(CacheEntry& entry, std::uint16_t victim_class) {
+    const ClassList& list = classes_[victim_class];
+    if (list.newest == CacheEntry::kNoSlot || slab_[list.newest].lru_stamp < entry.lru_stamp) {
+      LinkNewest(entry, victim_class);
+      return;
+    }
+    // The class's newest member is newer than the entry, so the class cursor
+    // stops before running off the class.
+    std::uint32_t newer = list.oldest;
+    const IntrusiveListNode* older = entry.lru_node.next;
+    while (slab_[newer].lru_stamp < entry.lru_stamp) {
+      const auto* candidate = static_cast<const CacheEntry*>(older->owner);
+      if (candidate == nullptr) {  // Reached the sentinel: no older member.
+        newer = list.oldest;
+        break;
+      }
+      if (candidate->victim_class == victim_class) {
+        newer = candidate->class_newer;
+        break;
+      }
+      older = older->next;
+      newer = slab_[newer].class_newer;
+    }
+    LinkBefore(entry, victim_class, newer);
+  }
+
   // Back (LRU) node or nullptr when empty; Prev walks toward MRU.
   IntrusiveListNode* LruNodeBack() {
     CacheEntry* back = lru_.Back();
@@ -233,6 +444,9 @@ class BlockCache {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> free_slots_;
   FlatHashMap<std::uint64_t, std::uint32_t> index_;  // Packed BlockId -> slot.
   IntrusiveList<CacheEntry, &CacheEntry::lru_node> lru_;
+  std::uint64_t stamp_ = 0;  // Last stamp handed out.
+  // Victim-class sublists, indexed by class; empty when not tracking.
+  std::vector<ClassList, ArenaAllocator<ClassList>> classes_;
 };
 
 }  // namespace coopfs

@@ -126,11 +126,18 @@ class ArenaAllocator {
     if (arena_ != nullptr) {
       return static_cast<T*>(arena_->Allocate(n * sizeof(T), alignof(T)));
     }
+    if constexpr (kOverAligned) {
+      return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{alignof(T)}));
+    }
     return static_cast<T*>(::operator new(n * sizeof(T)));
   }
   void deallocate(T* p, std::size_t) noexcept {
     if (arena_ == nullptr) {
-      ::operator delete(p);
+      if constexpr (kOverAligned) {
+        ::operator delete(p, std::align_val_t{alignof(T)});
+      } else {
+        ::operator delete(p);
+      }
     }
   }
 
@@ -142,6 +149,8 @@ class ArenaAllocator {
   }
 
  private:
+  static constexpr bool kOverAligned = alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
   Arena* arena_ = nullptr;
 };
 

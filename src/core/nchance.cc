@@ -4,11 +4,18 @@
 
 namespace coopfs {
 
+void NChancePolicy::OnAttach() {
+  assert(n_ >= 0 && n_ <= UINT8_MAX && "recirculation counts are stored in a byte");
+  if (n_ > 0) {
+    ctx().TrackClientVictimClasses(static_cast<std::uint8_t>(n_));
+  }
+}
+
 void NChancePolicy::OnLocalHit(ClientId client, CacheEntry& entry) {
-  (void)client;
   // Referencing a singlet "resets the block's recirculation count and caches
   // the data normally" (§2.4): the copy becomes ordinary local data.
   entry.recirculation_count = 0;
+  ctx().client_cache(client).Reclassify(entry);
 }
 
 void NChancePolicy::OnRemoteHit(ClientId client, ClientId holder, BlockId block) {
@@ -27,6 +34,7 @@ void NChancePolicy::OnRemoteHit(ClientId client, ClientId holder, BlockId block)
   // The block is about to be duplicated at the requester; stale singlet
   // flags would cause pointless recirculation later.
   entry->singlet_flag = false;
+  ctx().client_cache(holder).Reclassify(*entry);
 }
 
 void NChancePolicy::OnBlockReplicated(BlockId block) {
@@ -35,9 +43,11 @@ void NChancePolicy::OnBlockReplicated(BlockId block) {
   // A recirculating copy is demoted to normal data: the block is no longer
   // the last cached copy, so protecting it would be pointless.
   for (ClientId holder : ctx().directory().Holders(block)) {
-    if (CacheEntry* entry = ctx().client_cache(holder).Find(block); entry != nullptr) {
+    BlockCache& cache = ctx().client_cache(holder);
+    if (CacheEntry* entry = cache.Find(block); entry != nullptr) {
       entry->singlet_flag = false;
       entry->recirculation_count = 0;
+      cache.Reclassify(*entry);
     }
   }
 }
@@ -111,6 +121,7 @@ void NChancePolicy::ReceiveForwarded(ClientId peer, BlockId block, int count) {
     // Should not happen for a true singlet; tolerate stale flags by merging.
     existing->recirculation_count =
         static_cast<std::uint8_t>(std::max<int>(existing->recirculation_count, count));
+    cache.Reclassify(*existing);
     return;
   }
   // The "block has moved" update reaches the directory with the forward
@@ -124,53 +135,40 @@ void NChancePolicy::ReceiveForwarded(ClientId peer, BlockId block, int count) {
   entry.recirculation_count = static_cast<std::uint8_t>(count);
   entry.singlet_flag = true;  // Known singlet: never re-queried.
   entry.last_ref = ctx().now();
+  cache.Reclassify(entry);
 }
 
 void NChancePolicy::MakeSpaceWithoutForwarding(ClientId peer) {
   BlockCache& cache = ctx().client_cache(peer);
 
   // First choice: the oldest duplicated block. Recirculating copies and
-  // flag-marked singlets are known singlets (skipped without a query);
-  // unmarked blocks cost one query each — but a discovered singlet gets its
-  // flag set, so it is never queried again (§2.4 optimizations).
-  CacheEntry* dup_victim = cache.ScanFromLru([this, peer](CacheEntry& entry) {
-    if (entry.recirculating() || entry.singlet_flag) {
-      return false;
-    }
+  // flag-marked singlets are known singlets and sit outside the unqueried
+  // class; every unqueried block costs one query, and a discovered singlet
+  // gets its flag set, leaving the class for good (§2.4 optimizations).
+  CacheEntry* victim = cache.OldestInClass(BlockCache::kUnqueried);
+  while (victim != nullptr) {
     ctx().ChargeSmallMessages(2);
-    if (ctx().directory().IsDuplicated(entry.block)) {
-      return true;
+    if (ctx().directory().IsDuplicated(victim->block)) {
+      break;
     }
-    entry.singlet_flag = true;
-    return false;
-  });
-  if (dup_victim != nullptr) {
-    FlushIfDirty(peer, dup_victim->block);
-    DropLocal(peer, dup_victim->block);
-    return;
+    victim->singlet_flag = true;
+    cache.Reclassify(*victim);
+    victim = cache.OldestInClass(BlockCache::kUnqueried);
   }
 
   // Second choice: the oldest recirculating block with the fewest
   // recirculations remaining.
-  CacheEntry* best = nullptr;
-  cache.ScanFromLru([&best](CacheEntry& entry) {
-    if (entry.recirculating() &&
-        (best == nullptr || entry.recirculation_count < best->recirculation_count)) {
-      best = &entry;
-    }
-    return false;
-  });
-  if (best != nullptr) {
-    FlushIfDirty(peer, best->block);
-    DropLocal(peer, best->block);
-    return;
+  for (int count = 1; victim == nullptr && count <= n_; ++count) {
+    victim = cache.OldestInClass(static_cast<std::size_t>(count));
   }
 
   // Fallback (cache entirely flag-marked singlets): plain LRU.
-  CacheEntry* lru = cache.Lru();
-  if (lru != nullptr) {
-    FlushIfDirty(peer, lru->block);
-    DropLocal(peer, lru->block);
+  if (victim == nullptr) {
+    victim = cache.Lru();
+  }
+  if (victim != nullptr) {
+    FlushIfDirty(peer, victim->block);
+    DropLocal(peer, victim->block);
   }
 }
 

@@ -43,6 +43,10 @@ class NChancePolicy : public GreedyPolicy {
   int recirculation_count() const { return n_; }
 
  protected:
+  // With n > 0, client caches track victim classes for the ripple-free
+  // replacement rule (MakeSpaceWithoutForwarding).
+  void OnAttach() override;
+
   void OnLocalHit(ClientId client, CacheEntry& entry) override;
   void OnRemoteHit(ClientId client, ClientId holder, BlockId block) override;
   void OnBlockReplicated(BlockId block) override;
@@ -73,7 +77,9 @@ class NChancePolicy : public GreedyPolicy {
 
   // Modified replacement for a peer admitting a recirculated block: evict
   // the oldest duplicated block; else the oldest recirculating block with
-  // the fewest recirculations remaining; else the plain LRU block.
+  // the fewest recirculations remaining; else the plain LRU block. Reads
+  // the cache's victim-class sublists, so its work is the queries it
+  // charges plus at most n empty count classes.
   void MakeSpaceWithoutForwarding(ClientId peer);
 
   int n_;

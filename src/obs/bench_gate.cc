@@ -64,6 +64,10 @@ constexpr Rule kRules[] = {
     {.gate = "SCALING", .series = "parallel_sweep_*", .field = Field::kOpsPerSec,
      .bound = Bound::kAtLeast, .factor = 0.85, .ref = Ref::kCandidate,
      .ref_series = "parallel_sweep_1t", .why = nullptr, .check = CheckSweep},
+    {.gate = "LENGTH", .series = "replay_len_nchance_2m", .field = Field::kOpsPerSec,
+     .bound = Bound::kAtLeast, .factor = 0.5, .ref = Ref::kCandidate,
+     .ref_series = "replay_len_greedy_2m",
+     .why = "at 2M events N-Chance may take at most twice Greedy's replay time"},
     {.gate = "OBS", .series = "replay_bounded_metrics", .field = Field::kOpsPerSec,
      .bound = Bound::kAtLeast, .factor = 0.85, .ref = Ref::kCandidate,
      .ref_series = "replay_serial_nchance",

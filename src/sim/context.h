@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "src/cache/block_cache.h"
@@ -106,8 +107,24 @@ class SimContext {
     CachePtr& slot = client_caches_[c];
     if (!slot) {
       slot = MakeCache(client_cache_blocks_);
+      if (client_victim_classes_.has_value()) {
+        slot->TrackVictimClasses(*client_victim_classes_);
+      }
     }
     return *slot;
+  }
+
+  // Client caches keep N-Chance victim-class sublists for recirculation
+  // counts up to `max_count` (see BlockCache), from now on and for every
+  // cache materialized later. N-Chance policies call this on attach; server
+  // caches and other policies' caches never track.
+  void TrackClientVictimClasses(std::uint8_t max_count) {
+    client_victim_classes_ = max_count;
+    for (CachePtr& cache : client_caches_) {
+      if (cache) {
+        cache->TrackVictimClasses(max_count);
+      }
+    }
   }
 
   // The cache if this client has ever been touched, else null (state
@@ -332,6 +349,7 @@ class SimContext {
   TraceRecorder* tracer_ = nullptr;
   SnapshotSampler* sampler_ = nullptr;
   std::size_t client_cache_blocks_ = 0;
+  std::optional<std::uint8_t> client_victim_classes_;  // Max tracked count.
 
   FlatHashSet<std::uint64_t> seen_blocks_;
   FlatHashMap<FileId, KnownBlockList> file_blocks_;

@@ -164,7 +164,6 @@ void PolicyBase::Write(ClientId client, BlockId block) {
     entry->dirty = true;
     flush_queue_.push_back({ctx().now() + ctx().config().write_delay, client, block});
   }
-  entry->dirty_since = ctx().now();
 }
 
 void PolicyBase::Delete(ClientId client, FileId file) {

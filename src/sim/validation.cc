@@ -1,8 +1,66 @@
 #include "src/sim/validation.h"
 
 #include <string>
+#include <vector>
 
 namespace coopfs {
+namespace {
+
+// A tracking cache's victim-class sublists hold exactly the entries whose
+// fields call for them, each once, oldest stamp first.
+Status CheckVictimClasses(const BlockCache& cache, ClientId c) {
+  if (!cache.tracks_victim_classes()) {
+    return Status::Ok();
+  }
+  const std::string where = "client " + std::to_string(c) + " victim class ";
+  std::vector<std::size_t> members(cache.victim_class_count(), 0);
+  Status status = Status::Ok();
+  cache.ForEachEntry([&](const CacheEntry& entry) {
+    if (!status.ok()) {
+      return;
+    }
+    const std::uint16_t victim_class = BlockCache::ClassOf(entry);
+    if (victim_class != CacheEntry::kNoClass && victim_class >= members.size()) {
+      status = Status::Internal(where + std::to_string(victim_class) + " of " +
+                                entry.block.ToString() + " is beyond the tracked range");
+    } else if (entry.victim_class != victim_class) {
+      status = Status::Internal(where + "of " + entry.block.ToString() + ": sits on " +
+                                std::to_string(entry.victim_class) + ", its fields call for " +
+                                std::to_string(victim_class));
+    } else if (victim_class != CacheEntry::kNoClass) {
+      ++members[victim_class];
+    }
+  });
+  if (!status.ok()) {
+    return status;
+  }
+  for (std::size_t victim_class = 0; victim_class < members.size(); ++victim_class) {
+    std::size_t linked = 0;
+    const CacheEntry* older = nullptr;
+    for (const CacheEntry* entry = cache.OldestInClass(victim_class);
+         entry != nullptr && linked <= members[victim_class];
+         older = entry, entry = cache.NewerInClass(*entry)) {
+      ++linked;
+      if (entry->victim_class != victim_class) {
+        return Status::Internal(where + std::to_string(victim_class) + " links " +
+                                entry->block.ToString() + " of class " +
+                                std::to_string(entry->victim_class));
+      }
+      if (older != nullptr && older->lru_stamp >= entry->lru_stamp) {
+        return Status::Internal(where + std::to_string(victim_class) + " is out of stamp order at " +
+                                entry->block.ToString());
+      }
+    }
+    if (linked != members[victim_class]) {
+      return Status::Internal(where + std::to_string(victim_class) + " links " +
+                              std::to_string(linked) + " entries but " +
+                              std::to_string(members[victim_class]) + " belong to it");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Status CheckCacheDirectoryConsistency(SimContext& context) {
   // Caches -> directory, capacity, and N-Chance metadata.
@@ -36,6 +94,9 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
       }
     });
     if (!status.ok()) {
+      return status;
+    }
+    if (status = CheckVictimClasses(cache, c); !status.ok()) {
       return status;
     }
   }

@@ -13,7 +13,10 @@ namespace coopfs {
 //   * every directory holder entry corresponds to a cached block;
 //   * no cache exceeds its capacity;
 //   * N-Chance metadata is coherent: a copy that is recirculating or
-//     flag-marked singlet really is the only client copy.
+//     flag-marked singlet really is the only client copy;
+//   * in client caches that track victim classes, each entry sits on the
+//     sublist its recirculation count and singlet flag call for, and each
+//     sublist is in LRU-stamp order.
 // Returns the first violation found.
 Status CheckCacheDirectoryConsistency(SimContext& context);
 

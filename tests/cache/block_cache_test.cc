@@ -1,8 +1,13 @@
 #include "src/cache/block_cache.h"
 
+#include <algorithm>
+#include <array>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/common/rng.h"
 
 namespace coopfs {
 namespace {
@@ -88,17 +93,6 @@ TEST(BlockCacheTest, ZeroCapacityRejectsInsertion) {
   EXPECT_TRUE(cache.Full());
 }
 
-TEST(BlockCacheTest, MoveToLruAndMru) {
-  BlockCache cache(3);
-  cache.Insert(B(1));
-  CacheEntry& two = cache.Insert(B(2));
-  cache.Insert(B(3));
-  cache.MoveToLru(&two);
-  EXPECT_EQ(cache.Lru()->block, B(2));
-  cache.MoveToMru(&two);
-  EXPECT_EQ(cache.Mru()->block, B(2));
-}
-
 TEST(BlockCacheTest, ScanFromLruVisitsInLruOrder) {
   BlockCache cache(4);
   cache.Insert(B(1));
@@ -165,6 +159,163 @@ TEST(BlockCacheTest, EntryMetadataDefaults) {
   EXPECT_FALSE(entry.singlet_flag);
   EXPECT_FALSE(entry.recirculating());
   EXPECT_EQ(entry.last_ref, 0);
+}
+
+TEST(BlockCacheTest, EntryIsOneCacheLine) {
+  EXPECT_EQ(sizeof(CacheEntry), 64u);
+  EXPECT_EQ(alignof(BlockCache), 64u);
+}
+
+// ---- Victim classes ----
+
+// The blocks on `victim_class`'s sublist, oldest first.
+std::vector<BlockId> ClassOrder(const BlockCache& cache, std::size_t victim_class) {
+  std::vector<BlockId> blocks;
+  for (const CacheEntry* entry = cache.OldestInClass(victim_class); entry != nullptr;
+       entry = cache.NewerInClass(*entry)) {
+    blocks.push_back(entry->block);
+  }
+  return blocks;
+}
+
+TEST(BlockCacheVictimClassTest, UntrackedCacheKeepsNoSublists) {
+  BlockCache cache(4);
+  EXPECT_FALSE(cache.tracks_victim_classes());
+  EXPECT_EQ(cache.victim_class_count(), 0u);
+  EXPECT_EQ(cache.Insert(B(1)).victim_class, CacheEntry::kNoClass);
+}
+
+TEST(BlockCacheVictimClassTest, ClassFollowsCountAndFlag) {
+  BlockCache cache(4);
+  cache.TrackVictimClasses(2);
+  ASSERT_EQ(cache.victim_class_count(), 3u);
+  CacheEntry& entry = cache.Insert(B(1));
+  EXPECT_EQ(entry.victim_class, BlockCache::kUnqueried);
+  entry.singlet_flag = true;
+  cache.Reclassify(entry);
+  EXPECT_EQ(entry.victim_class, CacheEntry::kNoClass);
+  EXPECT_EQ(cache.OldestInClass(BlockCache::kUnqueried), nullptr);
+  entry.recirculation_count = 2;
+  cache.Reclassify(entry);
+  EXPECT_EQ(cache.OldestInClass(2), &entry);
+  EXPECT_TRUE(cache.Erase(B(1)));
+  EXPECT_EQ(cache.OldestInClass(2), nullptr);
+}
+
+// An in-place change puts the entry where its stamp belongs, not at the
+// new end: the sublist stays in LRU order.
+TEST(BlockCacheVictimClassTest, ReclassifyPlacesEntryByStamp) {
+  BlockCache cache(5);
+  cache.TrackVictimClasses(1);
+  for (std::uint32_t file = 1; file <= 5; ++file) {
+    cache.Insert(B(file));
+  }
+  for (std::uint32_t file : {2u, 4u}) {
+    cache.Find(B(file))->singlet_flag = true;
+    cache.Reclassify(*cache.Find(B(file)));
+  }
+  EXPECT_EQ(ClassOrder(cache, BlockCache::kUnqueried), (std::vector<BlockId>{B(1), B(3), B(5)}));
+  for (std::uint32_t file : {4u, 2u}) {
+    cache.Find(B(file))->singlet_flag = false;
+    cache.Reclassify(*cache.Find(B(file)));
+  }
+  EXPECT_EQ(ClassOrder(cache, BlockCache::kUnqueried),
+            (std::vector<BlockId>{B(1), B(2), B(3), B(4), B(5)}));
+  cache.Touch(B(2));
+  EXPECT_EQ(ClassOrder(cache, BlockCache::kUnqueried),
+            (std::vector<BlockId>{B(1), B(3), B(4), B(5), B(2)}));
+}
+
+TEST(BlockCacheVictimClassTest, TrackingStartsFromCurrentContents) {
+  BlockCache cache(4);
+  cache.Insert(B(1)).recirculation_count = 1;
+  cache.Insert(B(2));
+  cache.Insert(B(3)).singlet_flag = true;
+  cache.Insert(B(4)).recirculation_count = 1;
+  cache.TrackVictimClasses(1);
+  EXPECT_EQ(ClassOrder(cache, BlockCache::kUnqueried), (std::vector<BlockId>{B(2)}));
+  EXPECT_EQ(ClassOrder(cache, 1), (std::vector<BlockId>{B(1), B(4)}));
+  cache.Clear();
+  EXPECT_EQ(cache.OldestInClass(1), nullptr);
+  EXPECT_EQ(cache.Insert(B(5)).victim_class, BlockCache::kUnqueried);
+}
+
+// Differential: after any mix of Insert, Touch, Erase and in-place flag and
+// count changes (each followed by Reclassify), the sublists agree with
+// ScanFromLru over the whole cache: the unqueried sublist is the scan's
+// unqueried entries in order, and each count sublist's oldest entry is the
+// scan's first entry with that count.
+TEST(BlockCacheVictimClassTest, SublistsMatchFilteredScans) {
+  constexpr std::size_t kMaxCount = 255;
+  BlockCache cache(48);
+  cache.TrackVictimClasses(kMaxCount);
+  Rng rng(20260417);
+  for (int step = 0; step < 20'000; ++step) {
+    const BlockId block = B(static_cast<std::uint32_t>(rng.NextBelow(96)));
+    CacheEntry* entry = cache.Find(block);
+    switch (rng.NextBelow(5)) {
+      case 0:
+        if (entry == nullptr) {
+          if (cache.Full()) {
+            cache.EvictLru();
+          }
+          cache.Insert(block);
+        }
+        break;
+      case 1:
+        cache.Touch(block);
+        break;
+      case 2:
+        cache.Erase(block);
+        break;
+      case 3:
+        if (entry != nullptr) {
+          entry->singlet_flag = !entry->singlet_flag;
+          cache.Reclassify(*entry);
+        }
+        break;
+      default:
+        if (entry != nullptr) {
+          // Mostly small counts, so classes hold several entries; any byte.
+          entry->recirculation_count = static_cast<std::uint8_t>(
+              rng.NextBelow(4) == 0 ? rng.NextBelow(kMaxCount + 1) : rng.NextBelow(4));
+          cache.Reclassify(*entry);
+        }
+        break;
+    }
+
+    std::vector<BlockId> unqueried;
+    std::array<std::optional<BlockId>, kMaxCount + 1> first_with_count;
+    std::optional<BlockId> fewest_recirculations;
+    std::size_t fewest = kMaxCount + 1;
+    cache.ScanFromLru([&](const CacheEntry& scanned) {
+      if (!scanned.recirculating() && !scanned.singlet_flag) {
+        unqueried.push_back(scanned.block);
+      }
+      if (scanned.recirculating()) {
+        if (!first_with_count[scanned.recirculation_count].has_value()) {
+          first_with_count[scanned.recirculation_count] = scanned.block;
+        }
+        if (scanned.recirculation_count < fewest) {
+          fewest = scanned.recirculation_count;
+          fewest_recirculations = scanned.block;
+        }
+      }
+      return false;
+    });
+    ASSERT_EQ(ClassOrder(cache, BlockCache::kUnqueried), unqueried) << "step " << step;
+    std::optional<BlockId> lowest_class_oldest;
+    for (std::size_t count = 1; count <= kMaxCount; ++count) {
+      const CacheEntry* oldest = cache.OldestInClass(count);
+      const std::optional<BlockId> got =
+          oldest == nullptr ? std::nullopt : std::optional<BlockId>(oldest->block);
+      ASSERT_EQ(got, first_with_count[count]) << "step " << step << ", count " << count;
+      if (!lowest_class_oldest.has_value()) {
+        lowest_class_oldest = got;
+      }
+    }
+    ASSERT_EQ(lowest_class_oldest, fewest_recirculations) << "step " << step;
+  }
 }
 
 class BlockCacheLruProperty : public ::testing::TestWithParam<std::size_t> {};

@@ -2,8 +2,9 @@
 // bench_compare CLI that wires it into CI.
 //
 // The in-process tests pin each row's verdicts and failure wording: the
-// sweep's host-aware floor and monotonicity, the bounded-metrics overhead
-// ceiling, the replay floor against a baseline, the serve quantile,
+// sweep's host-aware floor and monotonicity, the N-Chance-to-Greedy ratio
+// at 2M events, the bounded-metrics overhead ceiling, the replay floor
+// against a baseline, the serve quantile,
 // memory-hierarchy and p99 rows, and the edge cases the table decides one
 // way for every row. A seeded mutation fuzz holds the parser and the table
 // to hostile documents. The subprocess tests run the actual bench_compare
@@ -66,6 +67,11 @@ BenchReport CollapseReport() { return SweepReport(180.0, 320.0, 150.0); }
 BenchReport ObsReport(double serial_ops, double bounded_ops) {
   return Report({Series("replay_serial_nchance", serial_ops),
                  Series("replay_bounded_metrics", bounded_ops)});
+}
+
+BenchReport LengthReport(double nchance_ops, double greedy_ops) {
+  return Report({Series("replay_len_nchance_2m", nchance_ops),
+                 Series("replay_len_greedy_2m", greedy_ops)});
 }
 
 BenchReport ReplayReport(double nchance_ops, double lookup_ops) {
@@ -257,6 +263,50 @@ TEST(ObsGateTest, FailsBeyondOverheadCeiling) {
 TEST(ObsGateTest, FailsOnZeroBaselineThroughput) {
   const GateResult result = EvaluateBenchGates(ObsReport(0.0, 90.0));
   EXPECT_TRUE(AnyContains(result.failures, "OBS replay_bounded_metrics"));
+}
+
+// ---------------------------------------------------------------------------
+// LENGTH: replay_len_nchance_2m against replay_len_greedy_2m.
+// ---------------------------------------------------------------------------
+
+TEST(LengthGateTest, PassesWithinTwiceGreedyTime) {
+  // 60/100: N-Chance takes 1.67x Greedy's time, within the 2x bound.
+  const GateResult result = EvaluateBenchGates(LengthReport(60.0, 100.0));
+  EXPECT_TRUE(Passed(result, "LENGTH")) << FirstFailure(result);
+  EXPECT_TRUE(EvaluateBenchGates(LengthReport(50.0, 100.0)).failures.empty());
+}
+
+TEST(LengthGateTest, FailsAtTheEvictionScanCliff) {
+  // A whole-cache victim scan ran N-Chance at 1/8.6 of Greedy's rate.
+  const GateResult result = EvaluateBenchGates(LengthReport(11.6, 100.0));
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_TRUE(result.failures[0].starts_with(
+      "LENGTH replay_len_nchance_2m: ops/s 11.6, needs >= 0.50 x replay_len_greedy_2m ops/s "
+      "100.0 = 50.0 (at 2M events N-Chance may take at most twice Greedy's replay time)"))
+      << result.failures[0];
+  EXPECT_FALSE(Passed(result, "LENGTH"));
+}
+
+TEST(LengthGateTest, NotApplicableWithoutBothSeries) {
+  const GateResult nchance_only =
+      EvaluateBenchGates(Report({Series("replay_len_nchance_2m", 60.0)}));
+  EXPECT_FALSE(Applied(nchance_only, "LENGTH"));
+  EXPECT_TRUE(nchance_only.failures.empty());
+  EXPECT_TRUE(AnyContains(nchance_only.notes, "replay_len_greedy_2m not measured"));
+  EXPECT_FALSE(Applied(EvaluateBenchGates(ReplayReport(100.0, 100.0)), "LENGTH"));
+}
+
+// A baseline without the length series (the committed one predates them)
+// skips their REGRESSION comparison instead of failing it.
+TEST(LengthGateTest, BaselineWithoutLengthSeriesSkipsTheirRegressionRow) {
+  const BenchReport baseline = ReplayReport(100.0, 100.0);
+  BenchReport candidate = ReplayReport(100.0, 100.0);
+  candidate.series.push_back(Series("replay_len_nchance_2m", 60.0));
+  candidate.series.push_back(Series("replay_len_greedy_2m", 100.0));
+  const GateResult result = EvaluateBenchGates(candidate, &baseline);
+  EXPECT_TRUE(result.failures.empty()) << FirstFailure(result);
+  EXPECT_TRUE(Passed(result, "REGRESSION"));
+  EXPECT_TRUE(Passed(result, "LENGTH"));
 }
 
 // ---------------------------------------------------------------------------
@@ -574,6 +624,8 @@ std::vector<CliCase> CliCases() {
       {"scaling_pass", {SweepReport()}, 0, ""},
       {"scaling_floor_fail", {FloorMissReport()}, 1, "SCALING parallel_sweep_2t"},
       {"scaling_mono_fail", {CollapseReport()}, 1, "SCALING parallel_sweep_8t"},
+      {"length_pass", {LengthReport(60.0, 100.0)}, 0, ""},
+      {"length_fail", {LengthReport(11.6, 100.0)}, 1, "LENGTH replay_len_nchance_2m"},
       {"obs_pass", {ObsReport(100.0, 90.0)}, 0, ""},
       {"obs_fail", {ObsReport(100.0, 70.0)}, 1, "OBS replay_bounded_metrics"},
       {"serve_pass", {GoodServeReport()}, 0, ""},

@@ -68,5 +68,38 @@ TEST(ValidationTest, DetectsFalseSingletMarking) {
   EXPECT_NE(status.message().find("marked singlet"), std::string::npos);
 }
 
+// Client caches that track victim classes must sit on the sublists their
+// fields call for; an in-place change without Reclassify is caught.
+TEST(ValidationTest, DetectsEntryOffItsVictimClass) {
+  const SimulationConfig config = Config();
+  SimContext context(config, 2, 4, 4);
+  context.TrackClientVictimClasses(2);
+  BlockCache& cache = context.client_cache(0);
+  CacheEntry& entry = cache.Insert(BlockId{1, 0});
+  context.directory().AddHolder(BlockId{1, 0}, 0);
+  entry.recirculation_count = 1;
+  cache.Reclassify(entry);
+  EXPECT_TRUE(CheckCacheDirectoryConsistency(context).ok());
+
+  entry.recirculation_count = 2;  // No Reclassify: still on sublist 1.
+  const Status status = CheckCacheDirectoryConsistency(context);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("its fields call for 2"), std::string::npos)
+      << status.message();
+}
+
+TEST(ValidationTest, DetectsVictimCountBeyondTrackedRange) {
+  const SimulationConfig config = Config();
+  SimContext context(config, 2, 4, 4);
+  context.TrackClientVictimClasses(2);
+  CacheEntry& entry = context.client_cache(1).Insert(BlockId{1, 0});
+  context.directory().AddHolder(BlockId{1, 0}, 1);
+  entry.recirculation_count = 3;
+  const Status status = CheckCacheDirectoryConsistency(context);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_NE(status.message().find("beyond the tracked range"), std::string::npos)
+      << status.message();
+}
+
 }  // namespace
 }  // namespace coopfs
