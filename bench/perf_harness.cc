@@ -14,6 +14,14 @@
 //   * flat_map_churn       — FlatHashMap steady-state insert+erase cycling
 //                            at fixed occupancy, the eviction-path pattern
 //                            (items = insert/erase pairs)
+//   * layer_block_cache_hit, layer_block_cache_miss_evict,
+//     layer_lru_map_insert — BlockCache Touch of a resident block,
+//                            BlockCache evict-LRU + insert, and LruMap
+//                            insert-with-eviction, each on a full 2048-block
+//                            (16 MB) cache (items = operations)
+//   * layer_directory_add_remove, layer_directory_singlet_query — Directory
+//                            add+remove of one copy (items = pairs) and the
+//                            singlet test on 42 x 2048 tracked blocks
 //   * replay_serial_<p>    — single-threaded trace replay per policy
 //   * replay_streaming_nchance — the N-Chance replay pulled straight from
 //                            the streaming workload generator (fused
@@ -91,6 +99,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/cache/block_cache.h"
+#include "src/cache/directory.h"
+#include "src/cache/lru_map.h"
 #include "src/common/flat_hash_map.h"
 #include "src/common/format.h"
 #include "src/common/profiler.h"
@@ -108,6 +119,17 @@
 
 namespace coopfs {
 namespace {
+
+// xorshift64* key stream for the microbench series (seeded from --seed).
+struct KeyStream {
+  std::uint64_t state;
+  std::uint64_t operator()() {
+    state ^= state >> 12;
+    state ^= state << 25;
+    state ^= state >> 27;
+    return state * 0x2545f4914f6cdd1dull;
+  }
+};
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -219,7 +241,12 @@ constexpr ReplayCase kReplayCases[] = {
 };
 
 int Run(int argc, char** argv) {
-  BenchOptions options = BenchOptions::FromArgs(argc, argv);
+  Result<BenchOptions> parsed = BenchOptions::FromArgs(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "perf_harness: %s\n", parsed.status().message().c_str());
+    return 2;
+  }
+  const BenchOptions& options = *parsed;
   std::string out_path = "BENCH_coopfs.json";
   std::size_t max_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   bool dry_run = false;
@@ -227,7 +254,11 @@ int Run(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[i + 1];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      max_threads = std::max<std::size_t>(1, std::strtoull(argv[i + 1], nullptr, 10));
+      if (Status status = ParseFlagNumber(argv[i], argv[i + 1], &max_threads); !status.ok()) {
+        std::fprintf(stderr, "perf_harness: %s\n", status.message().c_str());
+        return 2;
+      }
+      max_threads = std::max<std::size_t>(1, max_threads);
     } else if (std::strcmp(argv[i], "--dry-run") == 0) {
       dry_run = true;
     }
@@ -289,13 +320,7 @@ int Run(int argc, char** argv) {
   //     stream; a checksum keeps the loops observable.
   {
     constexpr std::uint64_t kTableEntries = 1u << 17;  // Bigger than L2.
-    std::uint64_t state = options.seed | 1;
-    auto next = [&state] {
-      state ^= state >> 12;
-      state ^= state << 25;
-      state ^= state >> 27;
-      return state * 0x2545f4914f6cdd1dull;
-    };
+    KeyStream next{options.seed | 1};
 
     // Lookup: reserved table of even keys; probe evens and odds alike for a
     // 50% hit rate (replay lookups are a hit/miss mix too).
@@ -332,6 +357,97 @@ int Run(int argc, char** argv) {
     report.series.push_back(MakeSeries("flat_map_churn", cycles, SecondsSince(start)));
     if (checksum == ~std::uint64_t{0}) {  // Keep the loops from folding away.
       std::printf("flat_map checksum %llu\n", static_cast<unsigned long long>(checksum));
+    }
+  }
+
+  // 1c. Layer microbenches: the replay's cache structures one operation at
+  //     a time, at the paper's 2048-block (16 MB) client cache and, for the
+  //     directory, the blocks 42 such caches hold. Ungated; they split a
+  //     replay_* move into the layer that caused it.
+  {
+    constexpr std::size_t kCacheBlocks = BytesToBlocks(MiB(16));
+    constexpr std::uint32_t kClients = 42;  // The paper's Sprite client count.
+    constexpr std::uint64_t kDirectoryBlocks = kClients * kCacheBlocks;
+    KeyStream next{options.seed | 1};
+    std::uint64_t checksum = 0;
+
+    // Hit: Touch a random resident block (index probe + LRU relink).
+    BlockCache hit_cache(kCacheBlocks);
+    for (std::size_t i = 0; i < kCacheBlocks; ++i) {
+      hit_cache.Insert(BlockId{static_cast<FileId>(i), 0});
+    }
+    const std::uint64_t touches = options.events * 4;
+    auto start = StartSeries();
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      checksum += hit_cache.Touch(BlockId{static_cast<FileId>(next() % kCacheBlocks), 0})
+                      ->block.file;
+    }
+    report.series.push_back(
+        MakeSeries("layer_block_cache_hit", touches, SecondsSince(start)));
+
+    // Miss: evict the LRU block of a full cache and insert a new one.
+    BlockCache miss_cache(kCacheBlocks);
+    FileId fresh = 0;
+    for (; fresh < kCacheBlocks; ++fresh) {
+      miss_cache.Insert(BlockId{fresh, 0});
+    }
+    const std::uint64_t misses = options.events * 2;
+    start = StartSeries();
+    for (std::uint64_t i = 0; i < misses; ++i) {
+      checksum += miss_cache.EvictLru()->block.file;
+      miss_cache.Insert(BlockId{fresh++, 0});
+    }
+    report.series.push_back(
+        MakeSeries("layer_block_cache_miss_evict", misses, SecondsSince(start)));
+
+    // LruMap: insert a fresh key into a full map, evicting its LRU entry.
+    LruMap<std::uint64_t, ClientId> lru(kCacheBlocks);
+    const std::uint64_t inserts = options.events * 4;
+    start = StartSeries();
+    for (std::uint64_t key = 0; key < inserts; ++key) {
+      if (const auto evicted = lru.Insert(key, 0); evicted.has_value()) {
+        checksum += evicted->first;
+      }
+    }
+    report.series.push_back(
+        MakeSeries("layer_lru_map_insert", inserts, SecondsSince(start)));
+
+    // Directory: register and drop one copy of a random block (items = pairs).
+    Directory churn_directory;
+    const std::uint64_t pairs = options.events * 2;
+    start = StartSeries();
+    for (std::uint64_t i = 0; i < pairs; ++i) {
+      const std::uint64_t key = next();
+      const BlockId block{static_cast<FileId>(key % kDirectoryBlocks), 0};
+      const auto client = static_cast<ClientId>((key >> 32) % kClients);
+      churn_directory.AddHolder(block, client);
+      churn_directory.RemoveHolder(block, client);
+    }
+    report.series.push_back(
+        MakeSeries("layer_directory_add_remove", pairs, SecondsSince(start)));
+    checksum += churn_directory.NumTrackedBlocks();
+
+    // Singlet query (N-Chance's eviction test) against a populated
+    // directory in which every third block has a second holder.
+    Directory query_directory;
+    for (std::uint64_t i = 0; i < kDirectoryBlocks; ++i) {
+      const BlockId block{static_cast<FileId>(i), 0};
+      query_directory.AddHolder(block, static_cast<ClientId>(i % kClients));
+      if (i % 3 == 0) {
+        query_directory.AddHolder(block, static_cast<ClientId>((i + 1) % kClients));
+      }
+    }
+    const std::uint64_t queries = options.events * 4;
+    start = StartSeries();
+    for (std::uint64_t i = 0; i < queries; ++i) {
+      const std::uint64_t id = next() % kDirectoryBlocks;
+      checksum += query_directory.IsSingletHeldBy(BlockId{static_cast<FileId>(id), 0},
+                                                  static_cast<ClientId>(id % kClients));
+    }
+    report.series.push_back(
+        MakeSeries("layer_directory_singlet_query", queries, SecondsSince(start)));
+    if (checksum == ~std::uint64_t{0}) {  // Keep the loops from folding away.
+      std::printf("layer checksum %llu\n", static_cast<unsigned long long>(checksum));
     }
   }
 
@@ -525,13 +641,7 @@ int Run(int argc, char** argv) {
     StreamStatsOptions stream_options;
     stream_options.seed = options.seed;
     StreamStatsCollector collector(stream_options);
-    std::uint64_t state = options.seed | 1;
-    auto next = [&state] {
-      state ^= state >> 12;
-      state ^= state << 25;
-      state ^= state >> 27;
-      return state * 0x2545f4914f6cdd1dull;
-    };
+    KeyStream next{options.seed | 1};
     const std::uint64_t updates = options.events * 4;
     const auto start = StartSeries();
     for (std::uint64_t i = 0; i < updates; ++i) {

@@ -140,7 +140,7 @@ Status ExperimentContext::RunJobs(const Trace& trace, const std::vector<Simulati
   // deterministic either way (the replay depends only on config + policy).
   const std::size_t threads = options_.observability_requested() ? 1 : sweep_threads_;
   std::vector<Result<SimulationResult>> results =
-      RunSimulationsParallel(trace, jobs, threads, job_callback_);
+      RunSimulationsParallel(trace, jobs, threads);
   out->clear();
   out->reserve(results.size());
   for (Result<SimulationResult>& result : results) {
@@ -204,9 +204,7 @@ Status ExperimentContext::WriteExports(const std::vector<SimulationResult>& resu
     manifest_.exports.push_back({"profile", std::string(kProfileSchema), options_.profile_out});
   }
   if (!options_.json_out.empty()) {
-    MetricsExportOptions export_options;
-    export_options.detail = options_.metrics_detail;
-    MetricsExporter exporter(export_options);
+    MetricsExporter exporter(options_.metrics_detail);
     if (!manifest_.configs.empty()) {
       exporter.SetConfig(manifest_.configs.front());
     }

@@ -2,8 +2,8 @@
 //
 // The context owns everything one experiment needs: the resolved BenchOptions,
 // buffered stdout (so the driver can interleave experiments on a thread pool
-// yet print outputs in registration order, byte-identical to the standalone
-// binaries), lazily shared traces (src/exp/trace_pool.h), per-context
+// yet print outputs in registration order, byte-identical at any thread
+// count), lazily shared traces (src/exp/trace_pool.h), per-context
 // observability sinks (TraceRecorder / SnapshotSampler — each experiment gets
 // its own, unlike the old bench_common process-wide singletons, so
 // experiments can run concurrently), and the coopfs.run/v1 manifest being
@@ -51,9 +51,8 @@ class ExperimentContext {
   const ExperimentSpec& spec() const { return spec_; }
   const BenchOptions& options() const { return options_; }
 
-  // printf into the experiment's stdout buffer. The buffer is printed (by
-  // the driver or the standalone wrapper) only after the experiment
-  // finishes, in registration order.
+  // printf into the experiment's stdout buffer. The driver prints the
+  // buffer only after the experiment finishes, in registration order.
   void Printf(const char* format, ...) COOPFS_PRINTF_LIKE(2, 3);
 
   // The standard bench banner ("=== <title>: <what> ===" + workload and
@@ -81,9 +80,9 @@ class ExperimentContext {
 
   // Fans `jobs` out over RunSimulationsParallel and returns one result per
   // job in input order, failing fast on the first error. Thread count is the
-  // context's sweep budget (set by the driver; hardware concurrency for
-  // standalone binaries) — forced to 1 when observability sinks are attached,
-  // because recorders and samplers are not synchronized across jobs.
+  // context's sweep budget (set by the driver) — forced to 1 when
+  // observability sinks are attached, because recorders and samplers are not
+  // synchronized across jobs.
   Status RunJobs(const Trace& trace, const std::vector<SimulationJob>& jobs,
                  std::vector<SimulationResult>* out);
 
@@ -102,9 +101,6 @@ class ExperimentContext {
 
   // Sweep thread budget for RunJobs; 0 = hardware concurrency.
   void set_sweep_threads(std::size_t threads) { sweep_threads_ = threads; }
-
-  // Per-job completion callback for RunJobs (driver progress reporting).
-  void set_job_callback(SweepCallback callback) { job_callback_ = std::move(callback); }
 
   // The buffered stdout produced so far.
   const std::string& output() const { return output_; }
@@ -126,7 +122,6 @@ class ExperimentContext {
   RunManifest manifest_;
   std::vector<SimulationConfig> extra_configs_;
   std::size_t sweep_threads_ = 0;
-  SweepCallback job_callback_;
   std::unique_ptr<TraceRecorder> recorder_;
   std::unique_ptr<SnapshotSampler> sampler_;
   bool finished_ = false;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -38,20 +36,10 @@ constexpr const char kUsage[] =
     "they name a directory that receives one file per experiment.\n";
 
 // Flags consumed by the driver itself; everything else must be a BenchOptions
-// flag or the parse fails (the standalone binaries stay permissive, the
-// driver catches typos).
+// flag or the parse fails, so typos are caught.
 bool IsDriverFlag(const char* arg) {
   return std::strcmp(arg, "--filter") == 0 || std::strcmp(arg, "--threads") == 0 ||
          std::strcmp(arg, "--out-dir") == 0;
-}
-
-bool IsBenchFlag(const char* arg) {
-  return std::strcmp(arg, "--events") == 0 || std::strcmp(arg, "--seed") == 0 ||
-         std::strcmp(arg, "--auspex-events") == 0 || std::strcmp(arg, "--json") == 0 ||
-         std::strcmp(arg, "--trace-events") == 0 || std::strcmp(arg, "--trace-perfetto") == 0 ||
-         std::strcmp(arg, "--timeseries") == 0 || std::strcmp(arg, "--sample-interval") == 0 ||
-         std::strcmp(arg, "--profile") == 0 || std::strcmp(arg, "--metrics-detail") == 0 ||
-         std::strcmp(arg, "--bench-out") == 0 || std::strcmp(arg, "--max-clients") == 0;
 }
 
 // Equivalent re-run command line for the manifest: standalone flags that
@@ -168,7 +156,7 @@ Result<DriverOptions> DriverOptions::Parse(int argc, char** argv) {
       if (std::strcmp(arg, "--filter") == 0) {
         options.filter = argv[i + 1];
       } else if (std::strcmp(arg, "--threads") == 0) {
-        options.threads = std::strtoull(argv[i + 1], nullptr, 10);
+        COOPFS_RETURN_IF_ERROR(ParseFlagNumber(arg, argv[i + 1], &options.threads));
       } else if (std::strcmp(arg, "--out-dir") == 0) {
         options.out_dir = argv[i + 1];
       }
@@ -177,7 +165,11 @@ Result<DriverOptions> DriverOptions::Parse(int argc, char** argv) {
       return Status::InvalidArgument(std::string("unknown flag '") + arg + "'");
     }
   }
-  options.bench = BenchOptions::FromArgs(argc, argv);
+  Result<BenchOptions> bench = BenchOptions::FromArgs(argc, argv);
+  if (!bench.ok()) {
+    return bench.status();
+  }
+  options.bench = *std::move(bench);
   return options;
 }
 
@@ -344,25 +336,6 @@ int DriverMain(int argc, char** argv) {
     }
   }
   return failures == 0 ? 0 : 1;
-}
-
-int ExperimentMain(const char* name, int argc, char** argv) {
-  RegisterBuiltinExperiments();
-  const ExperimentSpec* spec = ExperimentRegistry::Instance().Find(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown experiment '%s'\n", name);
-    return 2;
-  }
-  const BenchOptions options = BenchOptions::FromArgs(argc, argv);
-  ExperimentContext context(*spec, options);
-  context.set_sweep_threads(0);  // legacy standalone behavior: hardware concurrency
-  const Status status = spec->run(context);
-  std::fwrite(context.output().data(), 1, context.output().size(), stdout);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace coopfs

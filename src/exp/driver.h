@@ -1,4 +1,4 @@
-// The coopfs_bench driver and the standalone-binary entry point.
+// The coopfs_bench driver, the one binary that runs experiments.
 //
 // `coopfs_bench` executes registered experiments (src/exp/experiment.h):
 //
@@ -9,15 +9,10 @@
 //
 // plus every BenchOptions flag (--events, --seed, --json, ...). Each
 // experiment's stdout is buffered and printed in registration order, so the
-// driver's output for a selection is byte-identical to running the
-// corresponding standalone binaries in that order. Driver chrome (progress,
-// manifest paths) goes to stderr only. Every experiment run through the
-// driver writes a coopfs.run/v1 manifest (src/obs/run_manifest.h) into
-// --out-dir.
-//
-// The per-figure bench binaries are one-line wrappers over ExperimentMain,
-// which runs exactly one spec with legacy-compatible behavior (no manifest,
-// sweeps at hardware concurrency).
+// driver's output for a selection is byte-identical at any --threads. Driver
+// chrome (progress, manifest paths) goes to stderr only. Every experiment
+// writes a coopfs.run/v1 manifest (src/obs/run_manifest.h) into --out-dir.
+// A malformed flag value is reported with the usage text, exit code 2.
 #ifndef COOPFS_SRC_EXP_DRIVER_H_
 #define COOPFS_SRC_EXP_DRIVER_H_
 
@@ -42,7 +37,8 @@ struct DriverOptions {
   std::string out_dir = "coopfs_runs";  // where run manifests are written
 
   // Parses the full coopfs_bench command line (driver flags + BenchOptions
-  // flags); unknown flags are an error here, unlike BenchOptions::FromArgs.
+  // flags); unknown flags are an error here, unlike BenchOptions::FromArgs,
+  // and so is a malformed number.
   static Result<DriverOptions> Parse(int argc, char** argv);
 };
 
@@ -67,11 +63,6 @@ std::vector<ExperimentOutcome> RunExperiments(
 
 // main() of coopfs_bench.
 int DriverMain(int argc, char** argv);
-
-// main() of a standalone single-experiment binary: runs the named registered
-// spec with BenchOptions parsed from the command line, prints its buffered
-// output, and returns non-zero on failure. Writes no manifest.
-int ExperimentMain(const char* name, int argc, char** argv);
 
 }  // namespace coopfs
 

@@ -7,9 +7,7 @@
 // expectation note, and a run function working against an ExperimentContext);
 // the ExperimentRegistry holds them all in canonical order. The single
 // `coopfs_bench` driver executes registered specs (--list / --filter /
-// --threads, src/exp/driver.h); the per-figure bench binaries are thin
-// wrappers that run exactly one spec, so driver and standalone output are
-// byte-identical by construction.
+// --threads, src/exp/driver.h); it is the only experiment binary.
 #ifndef COOPFS_SRC_EXP_EXPERIMENT_H_
 #define COOPFS_SRC_EXP_EXPERIMENT_H_
 
@@ -38,7 +36,7 @@ enum class TraceKind {
 const char* TraceKindName(TraceKind kind);
 
 struct ExperimentSpec {
-  std::string name;         // stable id, doubles as the bench binary name
+  std::string name;         // stable id, the --filter name
   std::string title;        // banner title, e.g. "Figure 4"
   std::string what;         // banner subtitle, e.g. "average block read time by algorithm"
   std::string description;  // one-liner for --list

@@ -1,55 +1,72 @@
 #include "src/exp/options.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/common/profiler.h"
 
 namespace coopfs {
 
-BenchOptions BenchOptions::FromArgs(int argc, char** argv) {
+namespace {
+
+constexpr const char* kBenchFlags[] = {
+    "--events", "--seed", "--auspex-events", "--json", "--trace-events", "--trace-perfetto",
+    "--timeseries", "--sample-interval", "--profile", "--metrics-detail", "--bench-out",
+    "--max-clients",
+};
+
+}  // namespace
+
+bool IsBenchFlag(const char* arg) {
+  for (const char* flag : kBenchFlags) {
+    if (std::strcmp(arg, flag) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+Result<BenchOptions> BenchOptions::FromArgs(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--events") == 0) {
-      options.events = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--auspex-events") == 0) {
-      options.auspex_events = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      options.json_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--trace-events") == 0) {
-      options.trace_events_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--trace-perfetto") == 0) {
-      options.trace_perfetto_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--timeseries") == 0) {
-      options.timeseries_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--sample-interval") == 0) {
-      options.sample_interval = static_cast<Micros>(std::strtoll(argv[i + 1], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
-      options.profile_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--bench-out") == 0) {
-      options.bench_out = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--max-clients") == 0) {
-      options.max_clients = static_cast<std::uint32_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--metrics-detail") == 0) {
-      if (!MetricsDetailFromName(argv[i + 1], options.metrics_detail)) {
-        std::fprintf(stderr, "unknown --metrics-detail '%s' (want full|bounded)\n",
-                     argv[i + 1]);
-        std::exit(2);
+  for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
+    if (!IsBenchFlag(flag)) {
+      continue;
+    }
+    if (i + 1 >= argc) {
+      return Status::InvalidArgument(std::string(flag) + " requires a value");
+    }
+    const char* value = argv[++i];
+    if (std::strcmp(flag, "--events") == 0) {
+      COOPFS_RETURN_IF_ERROR(ParseFlagNumber(flag, value, &options.events));
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      COOPFS_RETURN_IF_ERROR(ParseFlagNumber(flag, value, &options.seed));
+    } else if (std::strcmp(flag, "--auspex-events") == 0) {
+      COOPFS_RETURN_IF_ERROR(ParseFlagNumber(flag, value, &options.auspex_events));
+    } else if (std::strcmp(flag, "--sample-interval") == 0) {
+      COOPFS_RETURN_IF_ERROR(ParseFlagNumber(flag, value, &options.sample_interval));
+    } else if (std::strcmp(flag, "--max-clients") == 0) {
+      COOPFS_RETURN_IF_ERROR(ParseFlagNumber(flag, value, &options.max_clients));
+    } else if (std::strcmp(flag, "--metrics-detail") == 0) {
+      if (!MetricsDetailFromName(value, options.metrics_detail)) {
+        return Status::InvalidArgument(std::string("unknown --metrics-detail '") + value +
+                                       "' (want full|bounded)");
       }
+    } else if (std::strcmp(flag, "--json") == 0) {
+      options.json_out = value;
+    } else if (std::strcmp(flag, "--trace-events") == 0) {
+      options.trace_events_out = value;
+    } else if (std::strcmp(flag, "--trace-perfetto") == 0) {
+      options.trace_perfetto_out = value;
+    } else if (std::strcmp(flag, "--timeseries") == 0) {
+      options.timeseries_out = value;
+    } else if (std::strcmp(flag, "--profile") == 0) {
+      options.profile_out = value;
+    } else if (std::strcmp(flag, "--bench-out") == 0) {
+      options.bench_out = value;
     }
   }
   if (!options.profile_out.empty()) {
     Profiler::Enable(true);
-  }
-  // Environment override so `for b in bench/*; do $b; done` can be scaled.
-  if (const char* env = std::getenv("COOPFS_BENCH_EVENTS"); env != nullptr) {
-    options.events = std::strtoull(env, nullptr, 10);
-  }
-  if (const char* env = std::getenv("COOPFS_BENCH_AUSPEX_EVENTS"); env != nullptr) {
-    options.auspex_events = std::strtoull(env, nullptr, 10);
   }
   return options;
 }

@@ -30,9 +30,12 @@
 #ifndef COOPFS_SRC_EXP_OPTIONS_H_
 #define COOPFS_SRC_EXP_OPTIONS_H_
 
+#include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/sim/config.h"
 #include "src/trace/warmup.h"
@@ -64,7 +67,9 @@ struct BenchOptions {
   // Parses flags; also enables the self-profiler process-wide when --profile
   // was given, so spans cover workload generation as well as the runs.
   // Unknown flags are ignored (the driver parses its own on top of these).
-  static BenchOptions FromArgs(int argc, char** argv);
+  // A flag without a value, a malformed number, or an unknown
+  // --metrics-detail is an InvalidArgument naming the flag.
+  static Result<BenchOptions> FromArgs(int argc, char** argv);
 
   bool tracing_requested() const {
     return !trace_events_out.empty() || !trace_perfetto_out.empty();
@@ -82,6 +87,25 @@ struct BenchOptions {
     return SpriteWarmupEvents(num_events);
   }
 };
+
+// True for the flags BenchOptions::FromArgs consumes (each takes a value).
+bool IsBenchFlag(const char* arg);
+
+// Parses `value`, the argument of `flag`, into `*out` as one whole
+// non-negative decimal token within T's range. A sign, trailing characters
+// or overflow is an InvalidArgument naming the flag; `*out` is then unchanged.
+template <typename T>
+Status ParseFlagNumber(const char* flag, const char* value, T* out) {
+  const char* end = value + std::strlen(value);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (*value == '-' || ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(std::string(flag) + " wants a non-negative integer, got '" +
+                                   value + "'");
+  }
+  *out = parsed;
+  return Status::Ok();
+}
 
 }  // namespace coopfs
 

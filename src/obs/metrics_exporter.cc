@@ -10,6 +10,8 @@ namespace coopfs {
 
 namespace {
 
+constexpr int kIndent = 2;
+
 // Stable snake_case field name per cache level, index-aligned with
 // CacheLevel. These are schema names: do not reword without a version bump.
 constexpr const char* kLevelFields[kNumCacheLevels] = {
@@ -48,7 +50,7 @@ void WriteSimulationConfigJson(JsonWriter& json, const SimulationConfig& config)
   json.Key("disk_access_us").Value(static_cast<std::int64_t>(config.disk.access_time));
   json.Key("metrics_detail").Value(MetricsDetailName(config.metrics_detail));
   if (config.metrics_detail == MetricsDetail::kBounded) {
-    json.Key("bounded_top_k").Value(static_cast<std::uint64_t>(config.bounded_top_k));
+    json.Key("bounded_top_k").Value(static_cast<std::uint64_t>(StreamStatsOptions{}.top_k));
   }
   json.EndObject();
 }
@@ -117,8 +119,7 @@ void WriteStreamSummaryJson(JsonWriter& json, const StreamSummary& summary) {
   json.EndObject();
 }
 
-void WriteResult(JsonWriter& json, const SimulationResult& result,
-                 const MetricsExportOptions& options) {
+void WriteResult(JsonWriter& json, const SimulationResult& result, MetricsDetail detail) {
   json.BeginObject();
   json.Key("policy").Value(result.policy_name);
   json.Key("reads").Value(result.reads);
@@ -163,54 +164,38 @@ void WriteResult(JsonWriter& json, const SimulationResult& result,
   json.Key("directory_ops").Value(result.counters.directory_ops);
   json.EndObject();
 
-  if (options.include_histogram) {
-    json.Key("latency").BeginObject();
-    json.Key("count").Value(result.latency_histogram.count());
-    json.Key("p50_us").Value(result.latency_histogram.Quantile(0.5));
-    json.Key("p90_us").Value(result.latency_histogram.Quantile(0.9));
-    json.Key("p99_us").Value(result.latency_histogram.Quantile(0.99));
-    json.Key("p999_us").Value(result.latency_histogram.Quantile(0.999));
-    json.Key("buckets").BeginArray();
-    for (std::size_t b = 0; b < LogHistogram::kNumBuckets; ++b) {
-      const std::uint64_t count = result.latency_histogram.bucket_count(b);
-      if (count == 0) {
-        continue;
-      }
-      json.BeginObject();
-      json.Key("ge_us").Value(LogHistogram::BucketLowerBound(b));
-      json.Key("count").Value(count);
-      json.EndObject();
+  json.Key("latency").BeginObject();
+  json.Key("count").Value(result.latency_histogram.count());
+  json.Key("p50_us").Value(result.latency_histogram.Quantile(0.5));
+  json.Key("p90_us").Value(result.latency_histogram.Quantile(0.9));
+  json.Key("p99_us").Value(result.latency_histogram.Quantile(0.99));
+  json.Key("p999_us").Value(result.latency_histogram.Quantile(0.999));
+  json.Key("buckets").BeginArray();
+  for (std::size_t b = 0; b < LogHistogram::kNumBuckets; ++b) {
+    const std::uint64_t count = result.latency_histogram.bucket_count(b);
+    if (count == 0) {
+      continue;
     }
-    json.EndArray();
+    json.BeginObject();
+    json.Key("ge_us").Value(LogHistogram::BucketLowerBound(b));
+    json.Key("count").Value(count);
     json.EndObject();
   }
+  json.EndArray();
+  json.EndObject();
 
   if (result.bounded.has_value()) {
     json.Key("bounded");
     WriteStreamSummaryJson(json, *result.bounded);
   }
 
-  if (options.include_per_client && options.detail == MetricsDetail::kFull &&
-      !result.per_client.empty()) {
+  if (detail == MetricsDetail::kFull && !result.per_client.empty()) {
     json.Key("per_client").BeginArray();
     for (const ClientReadStats& client : result.per_client) {
       json.BeginObject();
       json.Key("reads").Value(client.reads);
       json.Key("total_time_us").Value(client.total_time_us);
       json.Key("avg_read_time_us").Value(client.AverageReadTime());
-      json.EndObject();
-    }
-    json.EndArray();
-  }
-
-  if (options.include_timeline && !result.timeline.empty()) {
-    json.Key("timeline").BeginArray();
-    for (const SimulationResult::TimelinePoint& point : result.timeline) {
-      json.BeginObject();
-      json.Key("end_time_us").Value(static_cast<std::int64_t>(point.end_time));
-      json.Key("reads").Value(point.reads);
-      json.Key("avg_read_time_us").Value(point.avg_read_time_us);
-      json.Key("disk_rate").Value(point.disk_rate);
       json.EndObject();
     }
     json.EndArray();
@@ -229,7 +214,7 @@ void MetricsExporter::SetConfig(const SimulationConfig& config) {
 void MetricsExporter::AddResult(const SimulationResult& result) { results_.push_back(result); }
 
 std::string MetricsExporter::ToJson() const {
-  JsonWriter json(options_.indent);
+  JsonWriter json(kIndent);
   json.BeginObject();
   json.Key("schema").Value(kMetricsSchema);
   json.Key("coopfs_version").Value(kVersionString);
@@ -240,7 +225,7 @@ std::string MetricsExporter::ToJson() const {
   }
   json.Key("results").BeginArray();
   for (const SimulationResult& result : results_) {
-    WriteResult(json, result, options_);
+    WriteResult(json, result, detail_);
   }
   json.EndArray();
   json.EndObject();
@@ -255,10 +240,9 @@ Status MetricsExporter::WriteFile(const std::string& path) const {
   return WriteTextFile(path, document);
 }
 
-std::string SimulationResultToJson(const SimulationResult& result,
-                                   const MetricsExportOptions& options) {
-  JsonWriter json(options.indent);
-  WriteResult(json, result, options);
+std::string SimulationResultToJson(const SimulationResult& result, MetricsDetail detail) {
+  JsonWriter json(kIndent);
+  WriteResult(json, result, detail);
   return json.str();
 }
 

@@ -30,21 +30,14 @@ namespace coopfs {
 // meaning change); purely additive fields keep the version.
 inline constexpr std::string_view kMetricsSchema = "coopfs.metrics/v1";
 
-struct MetricsExportOptions {
-  int indent = 2;                  // 0 = compact single-line JSON.
-  bool include_per_client = true;  // Per-client read stats (Figure 7 input).
-  bool include_timeline = true;    // TimelinePoint series, if collected.
-  bool include_histogram = true;   // Non-empty latency histogram buckets.
-  // kBounded suppresses the exact O(num_clients) "per_client" array even
-  // when the result carries one, keeping the export itself O(K); results
-  // collected under SimulationConfig::metrics_detail == kBounded emit
-  // their "bounded" summary object either way (additive field).
-  MetricsDetail detail = MetricsDetail::kFull;
-};
-
+// Documents are written with a 2-space indent. `detail` = kBounded
+// suppresses the exact O(num_clients) "per_client" array even when a result
+// carries one, keeping the export itself O(K); results collected under
+// SimulationConfig::metrics_detail == kBounded emit their "bounded" summary
+// object either way (additive field).
 class MetricsExporter {
  public:
-  explicit MetricsExporter(MetricsExportOptions options = {}) : options_(options) {}
+  explicit MetricsExporter(MetricsDetail detail = MetricsDetail::kFull) : detail_(detail) {}
 
   // Records the configuration block to embed (optional but recommended:
   // downstream tooling uses it to group comparable runs).
@@ -62,7 +55,7 @@ class MetricsExporter {
   Status WriteFile(const std::string& path) const;
 
  private:
-  MetricsExportOptions options_;
+  MetricsDetail detail_;
   bool have_config_ = false;
   SimulationConfig config_;
   std::vector<SimulationResult> results_;
@@ -72,7 +65,7 @@ class MetricsExporter {
 // of the document's "results" array). Used directly by tests and by the
 // determinism harness to fingerprint runs.
 std::string SimulationResultToJson(const SimulationResult& result,
-                                   const MetricsExportOptions& options = {});
+                                   MetricsDetail detail = MetricsDetail::kFull);
 
 // Writes `config` as the document's "config" object shape. Shared between
 // the metrics exporter and the coopfs.run/v1 manifest writer so a manifest's

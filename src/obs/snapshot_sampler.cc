@@ -108,9 +108,6 @@ void SnapshotSampler::CaptureDue(Micros timestamp, const StateProbe& probe) {
 }
 
 void SnapshotSampler::CaptureWarmupEnd(Micros timestamp, const StateProbe& probe) {
-  if (!options_.sample_warmup_end) {
-    return;
-  }
   Emit(SampleTrigger::kWarmupEnd, timestamp, probe);
 }
 

@@ -174,9 +174,6 @@ struct SnapshotSamplerOptions {
   // When triplets are off, keep a Space-Saving top-K of each window's
   // heaviest readers instead (StateSample::top_clients); 0 disables.
   std::uint32_t window_top_k = 8;
-
-  bool capture_state = true;       // Expect StateProbe gauges from the driver.
-  bool sample_warmup_end = true;   // Emit the kWarmupEnd sample.
 };
 
 // Not synchronized: concurrently executing runs (RunSimulationsParallel)
@@ -204,8 +201,7 @@ class SnapshotSampler {
   // emitted samples share `probe` (no events ran between the boundaries).
   void CaptureDue(Micros timestamp, const StateProbe& probe);
 
-  // Closes the current window at warm-up end / run end. CaptureWarmupEnd is
-  // a no-op unless options().sample_warmup_end.
+  // Closes the current window at warm-up end / run end.
   void CaptureWarmupEnd(Micros timestamp, const StateProbe& probe);
   void CaptureRunEnd(Micros timestamp, const StateProbe& probe);
 
@@ -219,9 +215,6 @@ class SnapshotSampler {
 
   // Accumulates one replayed read into the current window.
   void RecordRead(ClientId client, CacheLevel level, Micros latency, bool counted);
-
-  // Exclusive end of the currently open window (first unreached boundary).
-  Micros next_boundary() const { return next_boundary_; }
 
   const std::vector<SnapshotRun>& runs() const { return runs_; }
 

@@ -89,15 +89,6 @@ struct SimulationConfig {
   WritePolicy write_policy = WritePolicy::kWriteThrough;
   Micros write_delay = 30'000'000;  // Sprite's classic 30 s delay.
 
-  // If > 0, collect a time series of read metrics bucketed into intervals
-  // of this many simulated microseconds (SimulationResult::timeline).
-  Micros timeline_interval = 0;
-
-  // Collect the lightweight replay counters (SimulationResult::counters:
-  // events replayed, forwards, recirculations, invalidations, directory
-  // ops). When false no counter is touched on any path.
-  bool collect_counters = true;
-
   // Event-level trace recording (src/obs/trace_recorder.h): when non-null,
   // the run appends one ReadSpan per replayed read plus discrete op records
   // to this recorder. Null (the default) compiles every hook down to a
@@ -133,10 +124,6 @@ struct SimulationConfig {
   // streaming summary instead. Deterministic: the collector is seeded from
   // `seed`, so identical configs export identical bytes.
   MetricsDetail metrics_detail = MetricsDetail::kFull;
-
-  // Heavy-hitter summary size (hot blocks / heaviest readers) for kBounded
-  // runs; ignored under kFull.
-  std::uint32_t bounded_top_k = 32;
 
   // Capacity hint for the replay hash indexes (directory, known-blocks).
   // 0 (the default) derives the hint from the aggregate cache capacity

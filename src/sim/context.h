@@ -58,15 +58,12 @@ class SimContext {
         arena_(config.arena),
         directory_(config.arena, ResolveDirectoryShards(config, num_clients)),
         rng_(config.seed),
-        counters_enabled_(config.collect_counters),
         tracer_(config.trace_recorder),
         sampler_(config.snapshot_sampler),
         client_cache_blocks_(client_cache_blocks),
         seen_blocks_(config.arena),
         file_blocks_(config.arena) {
-    if (counters_enabled_) {
-      directory_.set_op_counter(&counters_.directory_ops);
-    }
+    directory_.set_op_counter(&counters_.directory_ops);
     if (tracer_ != nullptr) {
       directory_.set_observer(tracer_);
     }
@@ -166,27 +163,10 @@ class SimContext {
   // Unlike the server-load charges below, these are NOT warm-up gated: they
   // trace simulator work over the whole run.
   const SimCounters& counters() const { return counters_; }
-  bool counters_enabled() const { return counters_enabled_; }
-  void CountEvent() {
-    if (counters_enabled_) {
-      ++counters_.events_replayed;
-    }
-  }
-  void CountRemoteForward() {
-    if (counters_enabled_) {
-      ++counters_.remote_forwards;
-    }
-  }
-  void CountRecirculation() {
-    if (counters_enabled_) {
-      ++counters_.recirculations;
-    }
-  }
-  void CountInvalidation() {
-    if (counters_enabled_) {
-      ++counters_.invalidations;
-    }
-  }
+  void CountEvent() { ++counters_.events_replayed; }
+  void CountRemoteForward() { ++counters_.remote_forwards; }
+  void CountRecirculation() { ++counters_.recirculations; }
+  void CountInvalidation() { ++counters_.invalidations; }
 
   // ---- Event-level tracing (no-ops unless a recorder is attached) ----
   // The Simulator drives span open/close directly on the recorder; these
@@ -345,7 +325,6 @@ class SimContext {
   ServerLoadTracker server_load_;
   WriteStats write_stats_;
   SimCounters counters_;
-  bool counters_enabled_ = true;
   TraceRecorder* tracer_ = nullptr;
   SnapshotSampler* sampler_ = nullptr;
   std::size_t client_cache_blocks_ = 0;

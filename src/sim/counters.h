@@ -4,10 +4,9 @@
 // achieved; these counters describe *what the simulator did* to get there:
 // events replayed, server-forwarded reads, N-Chance recirculations,
 // write/delete invalidations, directory mutations. They are cheap enough to
-// leave on (one branch + increment per event) and can be disabled entirely
-// via SimulationConfig::collect_counters, in which case no counter is
-// touched on any path. Unlike the paper metrics they are NOT gated on
-// warm-up: they count the whole run, including the warm-up prefix.
+// leave on (one increment per event), so every run collects them. Unlike
+// the paper metrics they are NOT gated on warm-up: they count the whole
+// run, including the warm-up prefix.
 #ifndef COOPFS_SRC_SIM_COUNTERS_H_
 #define COOPFS_SRC_SIM_COUNTERS_H_
 

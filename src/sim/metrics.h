@@ -51,8 +51,7 @@ struct SimulationResult {
 
   ServerLoadTracker server_load;
 
-  // Replay counters for the whole run, warm-up included (zeroed when
-  // SimulationConfig::collect_counters is false). See counters.h.
+  // Replay counters for the whole run, warm-up included. See counters.h.
   SimCounters counters;
 
   // Distribution of per-read latencies (log-bucketed). The paper reports
@@ -70,20 +69,6 @@ struct SimulationResult {
                                        // delete) — saved server write traffic.
   std::uint64_t lost_writes = 0;       // Lost to client reboots (the delayed-
                                        // write reliability cost).
-
-  // Optional time series (SimulationConfig::timeline_interval > 0): one
-  // point per elapsed interval of simulated time that saw at least one
-  // counted read. Useful for warm-up inspection and diurnal-pattern plots.
-  // Derived from an internal SnapshotSampler pass; for zero-read intervals,
-  // state gauges, and per-client fairness use the full coopfs.timeseries/v1
-  // export (SimulationConfig::snapshot_sampler).
-  struct TimelinePoint {
-    Micros end_time = 0;         // Exclusive end of the interval.
-    std::uint64_t reads = 0;     // Counted reads inside it.
-    double avg_read_time_us = 0; // Their mean latency.
-    double disk_rate = 0;        // Fraction that reached disk.
-  };
-  std::vector<TimelinePoint> timeline;
 
   // ---- Derived quantities ----
 

@@ -97,26 +97,12 @@ Result<SimulationResult> Simulator::Run(Policy& policy, const ContextInspector& 
     tracer->BeginRun(policy.Name(), num_clients_);
   }
 
-  // State sampling (src/obs/snapshot_sampler.h). Up to two samplers ride one
-  // replay: the externally attached config_.snapshot_sampler (full samples
-  // with gauges and per-client triplets) and an internal lean one that feeds
-  // the legacy SimulationResult::timeline. They can use different intervals,
-  // so each tracks its own boundaries.
+  // State sampling (src/obs/snapshot_sampler.h): the one sampler a replay
+  // runs is the attached config_.snapshot_sampler, if any.
   const Micros first_timestamp = chunk.front().timestamp;
   SnapshotSampler* sampler = config_.snapshot_sampler;
   if (sampler != nullptr) {
     sampler->BeginRun(policy.Name(), num_clients_, config_.sample_interval, first_timestamp);
-  }
-  SnapshotSamplerOptions lean;
-  lean.include_per_client = false;
-  lean.window_top_k = 0;
-  lean.capture_state = false;
-  lean.sample_warmup_end = false;
-  SnapshotSampler timeline_sampler(lean);
-  SnapshotSampler* timeline = nullptr;
-  if (config_.timeline_interval > 0) {
-    timeline = &timeline_sampler;
-    timeline->BeginRun(policy.Name(), num_clients_, config_.timeline_interval, first_timestamp);
   }
 
   SimulationResult result;
@@ -129,7 +115,6 @@ Result<SimulationResult> Simulator::Run(Policy& policy, const ContextInspector& 
   std::unique_ptr<StreamStatsCollector> stream;
   if (config_.metrics_detail == MetricsDetail::kBounded) {
     StreamStatsOptions stream_options;
-    stream_options.top_k = config_.bounded_top_k;
     stream_options.seed = config_.seed;
     stream = std::make_unique<StreamStatsCollector>(stream_options);
   } else {
@@ -153,32 +138,16 @@ Result<SimulationResult> Simulator::Run(Policy& policy, const ContextInspector& 
       }
       // Sample boundaries fire before the event that crosses them: the
       // emitted windows cover [previous boundary, boundary) in event time.
-      const bool sampler_due = sampler != nullptr && sampler->SampleDue(event.timestamp);
-      if (sampler_due || (timeline != nullptr && timeline->SampleDue(event.timestamp))) {
-        StateProbe probe;
-        if (sampler_due && sampler->options().capture_state) {
-          COOPFS_PROFILE_SCOPE("sim/sample_state");
-          probe = BuildStateProbe(context);
-        }
-        if (sampler_due) {
-          sampler->CaptureDue(event.timestamp, probe);
-        }
-        if (timeline != nullptr) {
-          timeline->CaptureDue(event.timestamp, StateProbe{});
-        }
-      }
-      if (sampler != nullptr && index == config_.warmup_events && index > 0 &&
-          sampler->options().sample_warmup_end) {
-        COOPFS_PROFILE_SCOPE("sim/sample_state");
-        sampler->CaptureWarmupEnd(
-            event.timestamp,
-            sampler->options().capture_state ? BuildStateProbe(context) : StateProbe{});
-      }
       if (sampler != nullptr) {
+        if (sampler->SampleDue(event.timestamp)) {
+          COOPFS_PROFILE_SCOPE("sim/sample_state");
+          sampler->CaptureDue(event.timestamp, BuildStateProbe(context));
+        }
+        if (index == config_.warmup_events && index > 0) {
+          COOPFS_PROFILE_SCOPE("sim/sample_state");
+          sampler->CaptureWarmupEnd(event.timestamp, BuildStateProbe(context));
+        }
         sampler->OnEvent();
-      }
-      if (timeline != nullptr) {
-        timeline->OnEvent();
       }
       engine.Tick();
       switch (event.type) {
@@ -190,9 +159,6 @@ Result<SimulationResult> Simulator::Run(Policy& policy, const ContextInspector& 
           const bool counted = context.accounting();
           if (sampler != nullptr) {
             sampler->RecordRead(event.client, outcome.level, latency, counted);
-          }
-          if (timeline != nullptr) {
-            timeline->RecordRead(event.client, outcome.level, latency, counted);
           }
           if (counted) {
             const auto level = static_cast<std::size_t>(outcome.level);
@@ -239,42 +205,11 @@ Result<SimulationResult> Simulator::Run(Policy& policy, const ContextInspector& 
 
   // Close the final (partial) windows at the last trace timestamp.
   if (sampler != nullptr) {
-    StateProbe probe;
-    if (sampler->options().capture_state) {
-      COOPFS_PROFILE_SCOPE("sim/sample_state");
-      probe = BuildStateProbe(context);
-    }
-    sampler->CaptureRunEnd(last_timestamp, probe);
-  }
-  if (timeline != nullptr) {
-    timeline->CaptureRunEnd(last_timestamp, StateProbe{});
+    COOPFS_PROFILE_SCOPE("sim/sample_state");
+    sampler->CaptureRunEnd(last_timestamp, BuildStateProbe(context));
   }
 
   COOPFS_PROFILE_SCOPE("sim/finalize");
-
-  // The legacy avg_read_time_us timeline is the sampler's counted-read view:
-  // one point per sample that saw counted reads (zero-read windows are
-  // dropped here but kept in coopfs.timeseries/v1 exports). The run-end
-  // sample's partial window closes at the first unreached boundary, keeping
-  // end times strictly increasing.
-  if (timeline != nullptr) {
-    const SnapshotRun& run = timeline->runs().back();
-    constexpr auto kDisk = static_cast<std::size_t>(CacheLevel::kServerDisk);
-    for (const StateSample& sample : run.samples) {
-      const std::uint64_t reads = sample.CountedReads();
-      if (reads == 0) {
-        continue;
-      }
-      SimulationResult::TimelinePoint point;
-      point.end_time = sample.trigger == SampleTrigger::kRunEnd ? timeline->next_boundary()
-                                                                : sample.time;
-      point.reads = reads;
-      point.avg_read_time_us = sample.CountedTimeUs() / static_cast<double>(reads);
-      point.disk_rate =
-          static_cast<double>(sample.level_reads[kDisk]) / static_cast<double>(reads);
-      result.timeline.push_back(point);
-    }
-  }
 
   if (stream != nullptr) {
     result.bounded = stream->Summarize(num_clients_);

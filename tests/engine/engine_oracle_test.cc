@@ -25,7 +25,6 @@ SimulationConfig OracleConfig(std::uint32_t num_clients) {
   config.num_clients = num_clients;
   config.warmup_events = 5'000;
   config.seed = 13;
-  config.timeline_interval = 0;
   return config;
 }
 

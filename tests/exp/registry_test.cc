@@ -10,6 +10,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/exp/context.h"
 #include "src/exp/driver.h"
@@ -158,6 +160,69 @@ TEST(RegistryTest, EveryExperimentRunsOnATinyTrace) {
           << name;
     }
   }
+}
+
+// ---- command-line parsing ----
+
+// Parses `args` as a coopfs_bench command line (argv[0] supplied).
+Result<DriverOptions> ParseArgs(std::vector<std::string> args) {
+  args.insert(args.begin(), "coopfs_bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return DriverOptions::Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(DriverOptionsTest, RejectsMalformedValuesNamingTheFlag) {
+  const std::pair<const char*, const char*> kBad[] = {
+      {"--events", "-5"}, {"--events", "12abc"}, {"--events", ""},
+      {"--events", "18446744073709551616"}, {"--seed", "abc"}, {"--seed", "-1"},
+      {"--threads", "abc"}, {"--threads", "-2"}, {"--auspex-events", "1e6"},
+      {"--sample-interval", "-1"}, {"--max-clients", "4294967296"},
+      {"--metrics-detail", "bogus"},
+  };
+  for (const auto& [flag, value] : kBad) {
+    const Result<DriverOptions> parsed = ParseArgs({"--filter", "fig04_read_time", flag, value});
+    ASSERT_FALSE(parsed.ok()) << flag << " " << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << flag << " " << value;
+    EXPECT_NE(parsed.status().message().find(flag), std::string::npos)
+        << parsed.status().message();
+  }
+  EXPECT_FALSE(ParseArgs({"--events"}).ok());
+  EXPECT_FALSE(ParseArgs({"--frobnicate", "1"}).ok());
+}
+
+TEST(DriverOptionsTest, ValidValuesParse) {
+  const Result<DriverOptions> defaults = ParseArgs({});
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  EXPECT_EQ(defaults->filter, "*");
+  EXPECT_EQ(defaults->threads, 0u);
+  EXPECT_EQ(defaults->bench.events, BenchOptions().events);
+  EXPECT_EQ(defaults->bench.seed, BenchOptions().seed);
+  EXPECT_EQ(defaults->bench.sample_interval, BenchOptions().sample_interval);
+
+  const Result<DriverOptions> parsed =
+      ParseArgs({"--filter", "fig0[456]*", "--events", "100000", "--seed", "7", "--threads", "3",
+                 "--auspex-events", "250000", "--sample-interval", "0", "--max-clients",
+                 "10000", "--metrics-detail", "bounded", "--out-dir", "runs", "--json", "m"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->filter, "fig0[456]*");
+  EXPECT_EQ(parsed->threads, 3u);
+  EXPECT_EQ(parsed->out_dir, "runs");
+  EXPECT_EQ(parsed->bench.events, 100'000u);
+  EXPECT_EQ(parsed->bench.seed, 7u);
+  EXPECT_EQ(parsed->bench.auspex_events, 250'000u);
+  EXPECT_EQ(parsed->bench.sample_interval, 0);  // Warm-up and run-end samples only.
+  EXPECT_EQ(parsed->bench.max_clients, 10'000u);
+  EXPECT_EQ(parsed->bench.metrics_detail, MetricsDetail::kBounded);
+  EXPECT_EQ(parsed->bench.json_out, "m");
+
+  const Result<DriverOptions> extremes =
+      ParseArgs({"--seed", "18446744073709551615", "--max-clients", "4294967295"});
+  ASSERT_TRUE(extremes.ok()) << extremes.status().ToString();
+  EXPECT_EQ(extremes->bench.seed, 18'446'744'073'709'551'615u);
+  EXPECT_EQ(extremes->bench.max_clients, 4'294'967'295u);
 }
 
 // ---- driver determinism: thread count must not change the bytes ----

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/policy_factory.h"
+#include "src/obs/snapshot_sampler.h"
 #include "src/sim/simulator.h"
 #include "src/sim/validation.h"
 #include "src/trace/workload.h"
@@ -33,7 +34,9 @@ TEST_P(ExtensionMatrixTest, AllExtensionsTogetherStayConsistent) {
   config.num_servers = servers;
   config.write_policy = WritePolicy::kDelayedWrite;
   config.write_delay = 2'000'000;  // Short delay: plenty of flush traffic.
-  config.timeline_interval = workload.duration / 20;
+  SnapshotSampler sampler;
+  config.snapshot_sampler = &sampler;
+  config.sample_interval = workload.duration / 20;
 
   Simulator simulator(config, &trace);
   auto policy = MakePolicy(kind);
@@ -53,12 +56,12 @@ TEST_P(ExtensionMatrixTest, AllExtensionsTogetherStayConsistent) {
             result->writes);
   // Churn must produce some lost dirty data under a delayed-write policy.
   EXPECT_GT(result->lost_writes + result->flushed_writes + result->absorbed_writes, 0u);
-  // Timeline still sums to the totals.
-  std::uint64_t timeline_reads = 0;
-  for (const auto& point : result->timeline) {
-    timeline_reads += point.reads;
+  // The sampled windows still sum to the totals.
+  std::uint64_t window_reads = 0;
+  for (const StateSample& sample : sampler.runs().front().samples) {
+    window_reads += sample.CountedReads();
   }
-  EXPECT_EQ(timeline_reads, result->reads);
+  EXPECT_EQ(window_reads, result->reads);
   // Determinism under the full feature set.
   auto policy_again = MakePolicy(kind);
   const auto rerun = simulator.Run(*policy_again);

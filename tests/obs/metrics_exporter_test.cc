@@ -36,7 +36,6 @@ class MetricsExporterTest : public ::testing::Test {
     SimulationConfig config;
     config.WithClientCacheMiB(1).WithServerCacheMiB(4);
     config.warmup_events = trace_->size() / 4;
-    config.timeline_interval = 60'000'000;
     return config;
   }
 
@@ -122,52 +121,11 @@ TEST_F(MetricsExporterTest, ExportedFieldsMatchResult) {
                   per_client->items()[c].FindNumber("reads")->AsInt()),
               result.per_client[c].reads);
   }
-
-  // Timeline series present when collected.
-  const JsonValue* timeline = json.FindArray("timeline");
-  ASSERT_NE(timeline, nullptr);
-  EXPECT_EQ(timeline->items().size(), result.timeline.size());
-}
-
-TEST_F(MetricsExporterTest, CountersDisabledExportsZeros) {
-  SimulationConfig config = TestConfig();
-  config.collect_counters = false;
-  Simulator simulator(config, trace_);
-  auto policy = MakePolicy(PolicyKind::kNChance);
-  Result<SimulationResult> result = simulator.Run(*policy);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->counters, SimCounters{});
-
-  // Paper metrics are unaffected by the toggle.
-  SimulationConfig on = TestConfig();
-  Simulator simulator_on(on, trace_);
-  auto policy_on = MakePolicy(PolicyKind::kNChance);
-  Result<SimulationResult> with_counters = simulator_on.Run(*policy_on);
-  ASSERT_TRUE(with_counters.ok());
-  EXPECT_EQ(result->reads, with_counters->reads);
-  EXPECT_EQ(result->AverageReadTime(), with_counters->AverageReadTime());
-  EXPECT_NE(with_counters->counters, SimCounters{});
 }
 
 TEST_F(MetricsExporterTest, SerializationIsDeterministic) {
   const SimulationResult result = RunPolicy(PolicyKind::kCentralCoord);
   EXPECT_EQ(SimulationResultToJson(result), SimulationResultToJson(result));
-}
-
-TEST_F(MetricsExporterTest, OptionsTrimSections) {
-  MetricsExportOptions options;
-  options.include_per_client = false;
-  options.include_timeline = false;
-  options.include_histogram = false;
-  MetricsExporter exporter(options);
-  exporter.AddResult(RunPolicy(PolicyKind::kBaseline));
-  const std::string document = exporter.ToJson();
-  ASSERT_TRUE(ValidateMetricsDocument(document).ok());
-  const Result<JsonValue> parsed = ParseJson(document);
-  const JsonValue& json = parsed->FindArray("results")->items().front();
-  EXPECT_EQ(json.Find("per_client"), nullptr);
-  EXPECT_EQ(json.Find("timeline"), nullptr);
-  EXPECT_EQ(json.Find("latency"), nullptr);
 }
 
 TEST_F(MetricsExporterTest, ProvenanceHeaderIsPresent) {
@@ -192,9 +150,7 @@ TEST_F(MetricsExporterTest, BoundedDetailExportsStreamSummary) {
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->bounded.has_value());
 
-  MetricsExportOptions options;
-  options.detail = MetricsDetail::kBounded;
-  MetricsExporter exporter(options);
+  MetricsExporter exporter(MetricsDetail::kBounded);
   exporter.SetConfig(config);
   exporter.AddResult(*result);
   const std::string document = exporter.ToJson();

@@ -312,48 +312,6 @@ TEST_F(SnapshotSamplerTest, AttachingSamplerDoesNotPerturbSimulation) {
   EXPECT_EQ(sampled.server_load.TotalUnits(), baseline->server_load.TotalUnits());
 }
 
-// ---- Legacy timeline unification ----
-
-TEST_F(SnapshotSamplerTest, LegacyTimelineAgreesWithSamplerWindows) {
-  const Micros interval = TraceSpan() / 7;
-  SnapshotSampler sampler;
-  SimulationConfig config = TestConfig();
-  config.snapshot_sampler = &sampler;
-  config.sample_interval = interval;
-  config.timeline_interval = interval;
-  Simulator simulator(config, trace_);
-  auto policy = MakePolicy(PolicyKind::kNChance);
-  Result<SimulationResult> result = simulator.Run(*policy);
-  ASSERT_TRUE(result.ok());
-
-  // Every timeline point corresponds to a sampler window with counted reads
-  // (the sampler additionally keeps zero-read windows and the warm-up-end
-  // split, so it has at least as many samples).
-  std::vector<const StateSample*> counted;
-  for (const StateSample& sample : sampler.runs()[0].samples) {
-    if (sample.trigger != SampleTrigger::kWarmupEnd && sample.CountedReads() > 0) {
-      counted.push_back(&sample);
-    }
-  }
-  // The sampler splits one interval at the warm-up boundary; merge that
-  // window's counts into its interval before comparing. With warm-up at 1/4
-  // of the trace and 1/7 intervals the warm-up-end sample has zero counted
-  // reads, so the filtered list lines up one-to-one.
-  ASSERT_EQ(result->timeline.size(), counted.size());
-  for (std::size_t i = 0; i < counted.size(); ++i) {
-    EXPECT_EQ(result->timeline[i].reads, counted[i]->CountedReads()) << "point " << i;
-    if (counted[i]->trigger == SampleTrigger::kInterval) {
-      EXPECT_EQ(result->timeline[i].end_time, counted[i]->time) << "point " << i;
-    } else {
-      EXPECT_GT(result->timeline[i].end_time, counted[i]->time) << "point " << i;
-    }
-    EXPECT_DOUBLE_EQ(result->timeline[i].avg_read_time_us,
-                     counted[i]->CountedTimeUs() /
-                         static_cast<double>(counted[i]->CountedReads()))
-        << "point " << i;
-  }
-}
-
 // ---- Determinism ----
 
 TEST_F(SnapshotSamplerTest, RepeatedRunsExportIdenticalBytes) {

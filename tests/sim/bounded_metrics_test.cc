@@ -106,12 +106,11 @@ TEST(BoundedMetricsTest, ObservabilityMemoryIndependentOfClientCount) {
 TEST(BoundedMetricsTest, ExportBytesDeterministicAcrossRunsAndThreads) {
   const Trace trace = MakeTrace(5000, 20000);
   const SimulationConfig config = BoundedConfig(5000);
-  MetricsExportOptions export_options;
-  export_options.detail = MetricsDetail::kBounded;
+  constexpr MetricsDetail kDetail = MetricsDetail::kBounded;
 
   // Repeated serial runs serialize identically.
-  const std::string first = SimulationResultToJson(RunOne(config, trace), export_options);
-  const std::string second = SimulationResultToJson(RunOne(config, trace), export_options);
+  const std::string first = SimulationResultToJson(RunOne(config, trace), kDetail);
+  const std::string second = SimulationResultToJson(RunOne(config, trace), kDetail);
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("\"bounded\""), std::string::npos);
   EXPECT_EQ(first.find("\"per_client\""), std::string::npos);
@@ -133,12 +132,12 @@ TEST(BoundedMetricsTest, ExportBytesDeterministicAcrossRunsAndThreads) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_TRUE(serial[i].ok()) << serial[i].status().ToString();
     ASSERT_TRUE(wide[i].ok()) << wide[i].status().ToString();
-    EXPECT_EQ(SimulationResultToJson(*serial[i], export_options),
-              SimulationResultToJson(*wide[i], export_options))
+    EXPECT_EQ(SimulationResultToJson(*serial[i], kDetail),
+              SimulationResultToJson(*wide[i], kDetail))
         << "policy index " << i;
   }
   // The N-Chance job from the sweep matches the standalone run bit-for-bit.
-  EXPECT_EQ(SimulationResultToJson(*serial[2], export_options), first);
+  EXPECT_EQ(SimulationResultToJson(*serial[2], kDetail), first);
 }
 
 }  // namespace
