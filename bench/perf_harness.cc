@@ -38,6 +38,13 @@
 //                            gate holds N-Chance to at least half of
 //                            Greedy's rate there, where any victim search
 //                            that grows with the cache would show
+//   * trace_gen_auspex_250k, trace_gen_auspex_2m — the Auspex-like snooped
+//                            workload (237 clients, one snoop filter each)
+//                            drained through the EventSource at 250k and 2M
+//                            events, whatever --events says. The LENGTH gate
+//                            holds the 2M rate to at least half the 250k
+//                            rate: per-event generation cost may at most
+//                            double with trace length
 //   * replay_traced_nchance — the N-Chance replay with a TraceRecorder
 //                            attached (vs. replay_serial_nchance: the cost
 //                            of per-event recording; disabled tracing is a
@@ -176,6 +183,25 @@ BenchSeries MakeSeries(const std::string& name, std::uint64_t items, double seco
   return series;
 }
 
+// Pulls `source` dry through a 4096-event chunk buffer without materializing
+// a Trace; returns the events drained. The chunks' last timestamps feed a
+// checksum that is printed only if it hits one value, keeping the drain
+// observable.
+std::uint64_t Drain(EventSource& source) {
+  std::vector<TraceEvent> chunk(4096);
+  std::uint64_t drained = 0;
+  std::uint64_t checksum = 0;
+  for (std::size_t n = source.NextChunk(std::span<TraceEvent>(chunk)); n > 0;
+       n = source.NextChunk(std::span<TraceEvent>(chunk))) {
+    drained += n;
+    checksum ^= static_cast<std::uint64_t>(chunk[n - 1].timestamp);
+  }
+  if (checksum == ~std::uint64_t{0}) {
+    std::printf("drain checksum %llu\n", static_cast<unsigned long long>(checksum));
+  }
+  return drained;
+}
+
 // A best-of-N series with its sample spread recorded: ops_per_sec is the
 // fastest pass (least scheduler disturbance), while min/median/max/cv give
 // run_diff's noise-aware significance test the per-series spread it needs to
@@ -297,21 +323,11 @@ int Run(int argc, char** argv) {
     WorkloadConfig config = SpriteWorkloadConfig(options.seed);
     config.num_events = options.events;
     const std::unique_ptr<EventSource> source = MakeWorkloadEventSource(config);
-    std::vector<TraceEvent> chunk(4096);
-    std::uint64_t drained = 0;
-    std::uint64_t checksum = 0;
     const auto start = StartSeries();
     source->Reset();
-    for (std::size_t n = source->NextChunk(std::span<TraceEvent>(chunk)); n > 0;
-         n = source->NextChunk(std::span<TraceEvent>(chunk))) {
-      drained += n;
-      checksum ^= static_cast<std::uint64_t>(chunk[n - 1].timestamp);
-    }
+    const std::uint64_t drained = Drain(*source);
     report.series.push_back(
         MakeSeries("trace_generate_streaming", drained, SecondsSince(start)));
-    if (checksum == ~std::uint64_t{0}) {  // Keep the drain observable.
-      std::printf("streaming checksum %llu\n", static_cast<unsigned long long>(checksum));
-    }
   }
 
   // 1b. Flat-map microbenches: the raw data-structure cost under the replay
@@ -523,6 +539,36 @@ int Run(int argc, char** argv) {
         events = result.counters.events_replayed;
       }
       report.series.push_back(MakeSpreadSeries(replay.series_name, events, pass_seconds));
+    }
+  }
+
+  // 2d. Auspex generation at two fixed lengths, whatever --events says: 237
+  //     clients, each read filtered through the client's own snoop filter.
+  //     The LENGTH gate holds the per-event cost at 2M events to at most
+  //     twice the cost at 250k, so generator work that grows with the trace
+  //     shows, such as a temp-file delete that scans every client's filter.
+  //     The clock starts after the world is built: the ratio compares
+  //     per-event work only.
+  {
+    constexpr struct {
+      const char* series_name;
+      std::uint64_t events;
+    } kGenCases[] = {
+        {"trace_gen_auspex_250k", 250'000},
+        {"trace_gen_auspex_2m", 2'000'000},
+    };
+    for (const auto& gen : kGenCases) {
+      WorkloadConfig workload = AuspexWorkloadConfig(options.seed);
+      workload.num_events = gen.events;
+      std::vector<double> pass_seconds;
+      std::uint64_t events = 0;
+      for (int pass = 0; pass < kGatedSeriesPasses; ++pass) {
+        const std::unique_ptr<EventSource> source = MakeWorkloadEventSource(workload);
+        const auto start = StartSeries();
+        events = Drain(*source);
+        pass_seconds.push_back(SecondsSince(start));
+      }
+      report.series.push_back(MakeSpreadSeries(gen.series_name, events, pass_seconds));
     }
   }
 

@@ -104,8 +104,10 @@ class LruMap {
   }
 
   // Removes every entry for which `pred(key, value)` returns true; returns
-  // the number removed. O(size); used for rare whole-host invalidations
-  // (e.g. a client reboot dropping its share of the global cache).
+  // the number removed. Visits the whole index, so it suits only rare
+  // whole-host invalidations: its one caller is a client reboot dropping
+  // that client's share of the central coordinator's global cache
+  // (src/core/central_coord.cc). Where the keys are known, Erase each.
   template <typename Pred>
   std::size_t EraseIf(Pred&& pred) {
     return index_.EraseIf([this, &pred](const K& key, std::uint32_t& slot) {

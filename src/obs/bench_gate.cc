@@ -68,6 +68,10 @@ constexpr Rule kRules[] = {
      .bound = Bound::kAtLeast, .factor = 0.5, .ref = Ref::kCandidate,
      .ref_series = "replay_len_greedy_2m",
      .why = "at 2M events N-Chance may take at most twice Greedy's replay time"},
+    {.gate = "LENGTH", .series = "trace_gen_auspex_2m", .field = Field::kOpsPerSec,
+     .bound = Bound::kAtLeast, .factor = 0.5, .ref = Ref::kCandidate,
+     .ref_series = "trace_gen_auspex_250k",
+     .why = "per-event generation cost may at most double from 250k to 2M events"},
     {.gate = "OBS", .series = "replay_bounded_metrics", .field = Field::kOpsPerSec,
      .bound = Bound::kAtLeast, .factor = 0.85, .ref = Ref::kCandidate,
      .ref_series = "replay_serial_nchance",

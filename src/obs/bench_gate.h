@@ -9,6 +9,7 @@
 //
 //   REGRESSION  replay_* ops/s >= 0.90 x the baseline's (two-document mode)
 //   LENGTH      replay_len_nchance_2m ops/s >= 0.5 x replay_len_greedy_2m
+//   LENGTH      trace_gen_auspex_2m ops/s >= 0.5 x trace_gen_auspex_250k
 //   OBS         replay_bounded_metrics ops/s >= 0.85 x replay_serial_nchance
 //   SERVE       serve_* p50 <= p99 <= p999
 //   SERVE       Figure 1's memory hierarchy on the p50s: local < remote

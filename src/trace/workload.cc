@@ -37,6 +37,8 @@ struct OpenFile {
 // cannot see through (Auspex-style traces). Backed by the flat-indexed
 // LruMap from the cache layer: Auspex generation touches this per access,
 // and the old std::list + unordered_map version allocated on every miss.
+// Touch and EraseFile are keyed: a delete costs O(file blocks), not a walk
+// of the filter.
 class SnoopFilter {
  public:
   explicit SnoopFilter(std::size_t capacity) : lru_(capacity) {}
@@ -52,8 +54,11 @@ class SnoopFilter {
     return false;
   }
 
-  void EraseFile(FileId file) {
-    lru_.EraseIf([file](std::uint64_t key, bool) { return BlockId::Unpack(key).file == file; });
+  // Drops blocks [0, blocks) of a deleted file.
+  void EraseFile(FileId file, std::uint32_t blocks) {
+    for (BlockIndex b = 0; b < blocks; ++b) {
+      lru_.Erase(BlockId{file, b}.Pack());
+    }
   }
 
   // Drops all remembered blocks (reboot: the filter dies with the memory).
@@ -353,10 +358,15 @@ class StreamingWorkloadGenerator final : public EventSource {
       del.type = EventType::kDelete;
       del.block = BlockId{meta.id, 0};
       Push(del);
+      // A temp file lives only in its opener's working set, so only the
+      // opener's filter and attribute cache can hold it. Its id is never
+      // reused, so the attribute entry would otherwise stay forever.
+      assert(meta.owner == client);
       if (!snoop_filters_.empty()) {
-        for (auto& filter : snoop_filters_) {
-          filter.EraseFile(meta.id);
-        }
+        snoop_filters_[client].EraseFile(meta.id, meta.blocks);
+      }
+      if (config_.emit_read_attrs) {
+        last_attr_[client].Erase(meta.id);
       }
       free_temp_slots_.push_back(open.file_slot);
     }

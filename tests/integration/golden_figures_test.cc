@@ -16,7 +16,7 @@ namespace {
 
 std::string Us(Micros value) { return std::to_string(value) + " us"; }
 
-// Mirrors bench/fig01_technology_table.cc exactly.
+// Mirrors the table src/exp/specs/fig01_technology_table.cc prints, exactly.
 std::string RenderFigure1() {
   const NetworkModel ethernet = NetworkModel::Ethernet10();
   const NetworkModel atm = NetworkModel::Atm155();
@@ -38,7 +38,7 @@ std::string RenderFigure1() {
   return table.ToString();
 }
 
-// Mirrors bench/fig03_access_times.cc exactly.
+// Mirrors the table src/exp/specs/fig03_access_times.cc prints, exactly.
 std::string RenderFigure3() {
   const NetworkModel atm = NetworkModel::Atm155();
   const DiskModel disk = DiskModel::RuemmlerWilkes();

@@ -3,7 +3,8 @@
 //
 // The in-process tests pin each row's verdicts and failure wording: the
 // sweep's host-aware floor and monotonicity, the N-Chance-to-Greedy ratio
-// at 2M events, the bounded-metrics overhead ceiling, the replay floor
+// at 2M events, Auspex generation's per-event cost from 250k to 2M events,
+// the bounded-metrics overhead ceiling, the replay floor
 // against a baseline, the serve quantile,
 // memory-hierarchy and p99 rows, and the edge cases the table decides one
 // way for every row. A seeded mutation fuzz holds the parser and the table
@@ -72,6 +73,11 @@ BenchReport ObsReport(double serial_ops, double bounded_ops) {
 BenchReport LengthReport(double nchance_ops, double greedy_ops) {
   return Report({Series("replay_len_nchance_2m", nchance_ops),
                  Series("replay_len_greedy_2m", greedy_ops)});
+}
+
+BenchReport GenerationReport(double ops_250k, double ops_2m) {
+  return Report({Series("trace_gen_auspex_250k", ops_250k),
+                 Series("trace_gen_auspex_2m", ops_2m)});
 }
 
 BenchReport ReplayReport(double nchance_ops, double lookup_ops) {
@@ -294,6 +300,41 @@ TEST(LengthGateTest, NotApplicableWithoutBothSeries) {
   EXPECT_TRUE(nchance_only.failures.empty());
   EXPECT_TRUE(AnyContains(nchance_only.notes, "replay_len_greedy_2m not measured"));
   EXPECT_FALSE(Applied(EvaluateBenchGates(ReplayReport(100.0, 100.0)), "LENGTH"));
+}
+
+// LENGTH also holds Auspex generation: trace_gen_auspex_2m against
+// trace_gen_auspex_250k.
+TEST(LengthGateTest, GenerationPassesWithinTwicePerEventCost) {
+  // 550k/600k events/s: 2M events cost 1.09x per event what 250k do.
+  const GateResult result = EvaluateBenchGates(GenerationReport(600'000.0, 550'000.0));
+  EXPECT_TRUE(Passed(result, "LENGTH")) << FirstFailure(result);
+  EXPECT_TRUE(EvaluateBenchGates(GenerationReport(600'000.0, 300'000.0)).failures.empty());
+}
+
+TEST(LengthGateTest, GenerationFailsWhenDeletesScanEveryFilter) {
+  // Scanning all 237 snoop filters on each temp-file delete cost 3.2x per
+  // event at 2M what it cost at 250k.
+  const GateResult result = EvaluateBenchGates(GenerationReport(600'000.0, 186'000.0));
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0],
+            "LENGTH trace_gen_auspex_2m: ops/s 186000.0, needs >= 0.50 x "
+            "trace_gen_auspex_250k ops/s 600000.0 = 300000.0 (per-event generation cost may "
+            "at most double from 250k to 2M events)");
+  EXPECT_FALSE(Passed(result, "LENGTH"));
+}
+
+TEST(LengthGateTest, GenerationRowSkippedWithoutBothSeries) {
+  const GateResult long_only =
+      EvaluateBenchGates(Report({Series("trace_gen_auspex_2m", 186'000.0)}));
+  EXPECT_FALSE(Applied(long_only, "LENGTH"));
+  EXPECT_TRUE(long_only.failures.empty());
+  EXPECT_TRUE(AnyContains(long_only.notes, "LENGTH trace_gen_auspex_2m ops/s >= "
+                                           "trace_gen_auspex_250k ops/s skipped: "
+                                           "trace_gen_auspex_250k not measured"));
+  const GateResult short_only =
+      EvaluateBenchGates(Report({Series("trace_gen_auspex_250k", 600'000.0)}));
+  EXPECT_FALSE(Applied(short_only, "LENGTH"));
+  EXPECT_TRUE(AnyContains(short_only.notes, "skipped: trace_gen_auspex_2m not measured"));
 }
 
 // A baseline without the length series (the committed one predates them)
@@ -626,6 +667,9 @@ std::vector<CliCase> CliCases() {
       {"scaling_mono_fail", {CollapseReport()}, 1, "SCALING parallel_sweep_8t"},
       {"length_pass", {LengthReport(60.0, 100.0)}, 0, ""},
       {"length_fail", {LengthReport(11.6, 100.0)}, 1, "LENGTH replay_len_nchance_2m"},
+      {"generation_pass", {GenerationReport(600'000.0, 550'000.0)}, 0, ""},
+      {"generation_fail", {GenerationReport(600'000.0, 186'000.0)}, 1,
+       "LENGTH trace_gen_auspex_2m"},
       {"obs_pass", {ObsReport(100.0, 90.0)}, 0, ""},
       {"obs_fail", {ObsReport(100.0, 70.0)}, 1, "OBS replay_bounded_metrics"},
       {"serve_pass", {GoodServeReport()}, 0, ""},

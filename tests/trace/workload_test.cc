@@ -1,10 +1,14 @@
 #include "src/trace/workload.h"
 
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/trace/event_source.h"
 #include "src/trace/trace_stats.h"
 
 namespace coopfs {
@@ -158,6 +162,63 @@ TEST(WorkloadTest, SnoopedTraceSuppressesImmediateRereads) {
     }
   }
   EXPECT_GT(attrs, 0u) << "snooped mode should surface read-attribute hints";
+}
+
+// 64-bit FNV-1a over every event's timestamp, client, packed block and type,
+// fed byte by byte little-endian so the digest is the same on every host.
+std::uint64_t TraceDigest(const WorkloadConfig& config) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  const std::unique_ptr<EventSource> source = MakeWorkloadEventSource(config);
+  std::vector<TraceEvent> chunk(4096);
+  for (std::size_t n = source->NextChunk(std::span<TraceEvent>(chunk)); n > 0;
+       n = source->NextChunk(std::span<TraceEvent>(chunk))) {
+    for (std::size_t i = 0; i < n; ++i) {
+      mix(static_cast<std::uint64_t>(chunk[i].timestamp), 8);
+      mix(chunk[i].client, 4);
+      mix(chunk[i].block.Pack(), 8);
+      mix(static_cast<std::uint64_t>(chunk[i].type), 1);
+    }
+  }
+  return hash;
+}
+
+// Snooped traces pinned to digests recorded from a generator that dropped a
+// deleted temp file's blocks by scanning every client's snoop filter. A
+// filter that kept any of those blocks would evict differently and change
+// which reads stay visible, so each digest moves if a delete leaves a block
+// behind.
+TEST(WorkloadTest, SnoopedTracesMatchPinnedDigests) {
+  WorkloadConfig delete_heavy = SmallTestWorkloadConfig(29);
+  delete_heavy.num_clients = 3;
+  delete_heavy.num_events = 60'000;
+  delete_heavy.snoop_filter_blocks = 24;
+  delete_heavy.emit_read_attrs = true;
+  delete_heavy.classes[2].select_weight = 0.4;  // Temp files: 30% of opens, not 5%.
+
+  struct Case {
+    const char* name;
+    WorkloadConfig config;
+    std::uint64_t digest;
+  };
+  const auto auspex = [](std::uint64_t seed) {
+    WorkloadConfig config = AuspexWorkloadConfig(seed);
+    config.num_events = 250'000;
+    return config;
+  };
+  const Case cases[] = {
+      {"auspex_250k_seed1", auspex(1), 0xef4934f92b45baffull},
+      {"auspex_250k_seed2", auspex(2), 0x09fd27b1c7036e3bull},
+      {"delete_heavy_3_clients", delete_heavy, 0x075a8b80e96f3ee3ull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(TraceDigest(c.config), c.digest) << c.name;
+  }
 }
 
 TEST(LeffWorkloadTest, DeterministicAndWellFormed) {
