@@ -109,6 +109,7 @@
 #include "src/cache/block_cache.h"
 #include "src/cache/directory.h"
 #include "src/cache/lru_map.h"
+#include "src/common/flags.h"
 #include "src/common/flat_hash_map.h"
 #include "src/common/format.h"
 #include "src/common/profiler.h"

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/common/profiler.h"
 #include "src/exp/context.h"

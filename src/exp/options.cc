@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/common/flags.h"
 #include "src/common/profiler.h"
 
 namespace coopfs {

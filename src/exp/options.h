@@ -30,9 +30,7 @@
 #ifndef COOPFS_SRC_EXP_OPTIONS_H_
 #define COOPFS_SRC_EXP_OPTIONS_H_
 
-#include <charconv>
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 #include "src/common/status.h"
@@ -90,22 +88,6 @@ struct BenchOptions {
 
 // True for the flags BenchOptions::FromArgs consumes (each takes a value).
 bool IsBenchFlag(const char* arg);
-
-// Parses `value`, the argument of `flag`, into `*out` as one whole
-// non-negative decimal token within T's range. A sign, trailing characters
-// or overflow is an InvalidArgument naming the flag; `*out` is then unchanged.
-template <typename T>
-Status ParseFlagNumber(const char* flag, const char* value, T* out) {
-  const char* end = value + std::strlen(value);
-  T parsed{};
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (*value == '-' || ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument(std::string(flag) + " wants a non-negative integer, got '" +
-                                   value + "'");
-  }
-  *out = parsed;
-  return Status::Ok();
-}
 
 }  // namespace coopfs
 

@@ -1,31 +1,49 @@
 // In-process multi-node serving harness over the CacheEngine.
 //
-// RunServe models a live cooperative-caching deployment: N closed-loop
-// client threads issue get/put requests against shared manager/peer state (a
-// sharded CacheEngine). Each thread records its counted completions in its
-// own cache-line-padded slot (one sample vector per cache level for gets, one
-// for puts); once the threads have joined, RunServe merges the slots into
-// per-level latency distributions. The client threads are the only threads.
+// RunServe models a live cooperative-caching deployment: client_threads
+// threads run get/put requests against shared manager/peer state (a sharded
+// CacheEngine). Each thread draws a fixed share of the requests from its own
+// deterministic stream, but a request runs on whichever thread owns its
+// shard in that round.
+//
+// Rounds and shard owners: in each round every thread draws its next 4,096
+// requests into its own batch, tagging each with its shard
+// (CacheEngine::ShardForFile) and with seq = i x client_threads + t for
+// request i of thread t. One barrier per round hands the batches off: its
+// completion step gives whole shards to threads, longest first by the
+// round's per-shard request counts, and each thread then runs its shards'
+// requests of the round in seq order. This is the paper's Hash-Distributed
+// idea (§2.5) applied to execution as well as state: one thread at a time
+// runs a shard, and shard state moves between cores at most once per round.
+// seq x 50 us is a request's simulated time, so no shared counter is needed.
+//
+// Each thread records its counted completions in its own cache-line-padded
+// slot (one sample vector per cache level for gets, one for puts); once the
+// threads have joined, RunServe merges the slots into per-level latency
+// distributions. The storm threads are the only threads.
 //
 // Latency methodology (docs/serving.md): each completed operation is charged
 //
 //   modeled service time (the paper's Table 1/Figure 3 constants via
 //   OutcomeLatency / WriteLatency — memory copy, per-hop network cost,
 //   block transfer, disk access)
-//   + measured wall-clock time of the engine call itself (lock wait and
-//   hot-path structure work, the part replay cannot show).
+//   + measured wall-clock time of the engine call itself (hot-path structure
+//   work, the part replay cannot show; the owner is the only thread on its
+//   shard, so the call never waits for the shard's lock).
 //
 // so the reported p50/p95/p99/p999 per level (local / remote-client /
 // server-memory / disk) combine the paper's technology model with the real
-// concurrency cost of the serving structures. Throughput is counted
-// (post-warm-up) ops divided by the whole storm's wall time, warm-up
-// included (ServeReport::wall_seconds).
+// cost of the serving structures. Throughput is counted (post-warm-up) ops
+// divided by the whole storm's wall time, warm-up included
+// (ServeReport::wall_seconds).
 //
 // The key mix is configurable: a Zipf-skewed synthetic key space, or a
 // trace-derived mix replayed from the deterministic Sprite-like workload
-// generator (src/trace/workload.h). Op streams are deterministic per thread
-// (each thread owns a fixed slice of the op budget and its own RNG); the
-// interleaving — and therefore the measured latency — is not.
+// generator (src/trace/workload.h). Each shard's operation sequence is fixed
+// by the options at any thread count, so everything but the measured time is
+// deterministic: a storm on S shards performs S Simulator::Run replays, one
+// per shard, of the seq-ordered requests whose files map to that shard, with
+// that shard's capacities and seed.
 #ifndef COOPFS_SRC_SERVE_SERVE_HARNESS_H_
 #define COOPFS_SRC_SERVE_SERVE_HARNESS_H_
 
@@ -52,18 +70,18 @@ constexpr const char* ServeKeyMixName(ServeKeyMix mix) {
 }
 
 struct ServeOptions {
-  // Closed-loop client threads. Each owns ops/client_threads requests.
+  // Storm threads. Each draws ops/client_threads requests (remainders to the
+  // lowest-indexed threads) and runs the requests of the shards it owns.
   std::uint32_t client_threads = 8;
 
-  // Engine shards. 0 derives the smallest power of two >= client_threads,
-  // clamped to [1, 64]. Each shard holds 1/shards of every client's cache
-  // and of the server cache, so the hit mix depends on the shard count as
-  // well as on the configured capacities: the same storm sees fewer local
-  // hits at more shards.
+  // Engine shards, at most 64. 0 derives the smallest power of two >=
+  // client_threads, clamped to [1, 64]. Each shard holds 1/shards of every
+  // client's cache and of the server cache, so the hit mix depends on the
+  // shard count as well as on the configured capacities.
   std::uint32_t shards = 0;
 
   // Simulated client machines (>= client_threads; requests carry a client id
-  // drawn from the issuing thread's slice of this population).
+  // drawn from the drawing thread's slice of this population).
   std::uint32_t num_clients = 42;
 
   PolicyKind policy = PolicyKind::kNChance;
@@ -83,10 +101,6 @@ struct ServeOptions {
   std::uint32_t blocks_per_file = 16;
   double zipf_s = 0.9;
   std::uint64_t trace_events = 100'000;  // kTrace pool size cap.
-
-  // Real think time between requests per client thread (0 = closed loop at
-  // full speed).
-  Micros think_time_us = 0;
 
   // Seed for per-thread request streams and the trace pool.
   std::uint64_t seed = 1;
@@ -119,7 +133,7 @@ struct ServeReport {
   BenchLatency total;
 
   // Post-drain invariant check: CheckCacheDirectoryConsistency over every
-  // shard once the client threads have joined (no lost blocks, directory and
+  // shard once the threads have joined (no lost blocks, directory and
   // holder state agree, capacities respected).
   bool consistent = false;
   std::string consistency_error;

@@ -1,17 +1,20 @@
 // Functional tests for the serving harness (src/serve/serve_harness.h):
 // op-count conservation, per-level accounting, merged aggregates,
-// bench-document round-trip, both key mixes, agreement with Simulator
-// replay, and option validation. The randomized multi-thread invariant
-// storms live in serve_stress_test.cc.
+// bench-document round-trip, both key mixes, agreement with one Simulator
+// replay per shard, and option validation. The randomized multi-thread
+// invariant storms live in serve_stress_test.cc.
 #include "src/serve/serve_harness.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "src/engine/cache_engine.h"
 #include "src/obs/bench_gate.h"
 #include "src/sim/simulator.h"
 #include "src/trace/workload.h"
@@ -155,57 +158,88 @@ TEST(ServeHarnessTest, TraceMixRunsAndConserves) {
   }
 }
 
-// One client thread on one shard is a replay: Simulator::Run over the same
-// op stream must satisfy every counted get at the same cache level.
-TEST(ServeHarnessTest, OneThreadOneShardMatchesSimulatorReplay) {
+// Each shard's requests run on one thread at a time, in seq order, so a
+// storm on S shards is S replays: Simulator::Run over each shard's share of
+// the seq-ordered requests, with that shard's capacities and seed, satisfies
+// every counted get at the same cache level, at any thread count.
+TEST(ServeHarnessTest, ShardedStormIsOneReplayPerShard) {
+  ServeOptions options = SmallOptions();
+  options.ops = 12'000;
+  options.warmup_ops = 1'200;
+  options.mix = ServeKeyMix::kTrace;
+  options.trace_events = 20'000;
+
+  // The storm's requests, rebuilt as RunServe's trace pool is: the
+  // read/write events of the Sprite-like workload. Request seq is pool event
+  // seq % pool size at seq x 50 us, whichever thread draws it.
+  WorkloadConfig workload = SpriteWorkloadConfig(options.seed);
+  workload.num_clients = options.num_clients;
+  workload.num_events = std::min<std::uint64_t>(
+      std::max<std::uint64_t>(options.ops + options.warmup_ops, 10'000), options.trace_events);
+  Trace pool;
+  for (const TraceEvent& event : GenerateWorkload(workload)) {
+    if (event.type == EventType::kRead || event.type == EventType::kWrite) {
+      pool.push_back(event);
+    }
+  }
+  ASSERT_FALSE(pool.empty());
+
   for (const PolicyKind kind : {PolicyKind::kNChance, PolicyKind::kGreedy}) {
-    SCOPED_TRACE(PolicyKindName(kind));
-    ServeOptions options = SmallOptions();
-    options.client_threads = 1;
-    options.shards = 1;
-    options.policy = kind;
-    options.mix = ServeKeyMix::kTrace;
-    options.trace_events = 20'000;
-    Result<ServeReport> report = RunServe(options);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-    // The storm's op stream, rebuilt as RunServe's trace pool is: the
-    // read/write events of the Sprite-like workload, cycled, one 50 us
-    // ticket apart.
-    WorkloadConfig workload = SpriteWorkloadConfig(options.seed);
-    workload.num_clients = options.num_clients;
-    workload.num_events = std::min<std::uint64_t>(
-        std::max<std::uint64_t>(options.ops + options.warmup_ops, 10'000),
-        options.trace_events);
-    Trace pool;
-    for (const TraceEvent& event : GenerateWorkload(workload)) {
-      if (event.type == EventType::kRead || event.type == EventType::kWrite) {
-        pool.push_back(event);
+    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(PolicyKindName(kind)) + ", " + std::to_string(shards) +
+                   " shards");
+      // Split the requests by shard, routed as the storm's engine routes.
+      SimulationConfig config = options.config;
+      config.num_clients = options.num_clients;
+      const CacheEngine router(
+          config, options.num_clients, [kind] { return MakePolicy(kind); }, shards);
+      std::vector<Trace> shard_events(shards);
+      std::vector<std::uint64_t> shard_warmup(shards, 0);
+      for (std::uint64_t seq = 0; seq < options.warmup_ops + options.ops; ++seq) {
+        TraceEvent event = pool[seq % pool.size()];
+        event.timestamp = static_cast<Micros>(seq) * 50;
+        const std::uint32_t shard = router.ShardForFile(event.block.file);
+        shard_events[shard].push_back(event);
+        shard_warmup[shard] += seq < options.warmup_ops ? 1 : 0;
       }
-    }
-    ASSERT_FALSE(pool.empty());
-    Trace stream;
-    for (std::uint64_t i = 0; i < options.warmup_ops + options.ops; ++i) {
-      TraceEvent event = pool[i % pool.size()];
-      event.timestamp = static_cast<Micros>(i) * 50;
-      stream.push_back(event);
-    }
 
-    // The sharded engine's shard 0 keeps the full capacities and seeds its
-    // policy one SplitMix64 increment past the storm's seed.
-    SimulationConfig config = options.config;
-    config.num_clients = options.num_clients;
-    config.seed = options.seed + 0x9e3779b97f4a7c15ull;
-    config.warmup_events = options.warmup_ops;
-    Simulator simulator(config, &stream);
-    const auto policy = MakePolicy(kind, options.params);
-    const Result<SimulationResult> replay = simulator.Run(*policy);
-    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+      // One replay per shard, configured as the engine configures it.
+      std::uint64_t expected_gets = 0;
+      std::array<std::uint64_t, kNumCacheLevels> expected_levels{};
+      for (std::uint32_t shard = 0; shard < shards; ++shard) {
+        if (shard_events[shard].empty()) {
+          continue;
+        }
+        SimulationConfig shard_config = config;
+        shard_config.client_cache_blocks =
+            std::max<std::size_t>(1, config.client_cache_blocks / shards);
+        shard_config.server_cache_blocks =
+            std::max<std::size_t>(1, config.server_cache_blocks / shards);
+        shard_config.seed = options.seed + 0x9e3779b97f4a7c15ull * (shard + 1);
+        shard_config.warmup_events = shard_warmup[shard];
+        Simulator simulator(shard_config, &shard_events[shard]);
+        const auto policy = MakePolicy(kind, options.params);
+        const Result<SimulationResult> replay = simulator.Run(*policy);
+        ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+        expected_gets += replay->reads;
+        for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
+          expected_levels[level] += replay->level_counts.Get(level);
+        }
+      }
 
-    EXPECT_EQ(report->get_ops, replay->reads);
-    for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
-      EXPECT_EQ(report->get_level_counts[level], replay->level_counts.Get(level))
-          << CacheLevelName(static_cast<CacheLevel>(level));
+      for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        options.policy = kind;
+        options.shards = shards;
+        options.client_threads = threads;
+        Result<ServeReport> report = RunServe(options);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        EXPECT_EQ(report->get_ops, expected_gets);
+        for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
+          EXPECT_EQ(report->get_level_counts[level], expected_levels[level])
+              << CacheLevelName(static_cast<CacheLevel>(level));
+        }
+      }
     }
   }
 }
@@ -247,6 +281,11 @@ TEST(ServeHarnessTest, RejectsUnrunnableOptions) {
   {
     ServeOptions options = SmallOptions();
     options.num_files = 0;
+    EXPECT_FALSE(RunServe(options).ok());
+  }
+  {
+    ServeOptions options = SmallOptions();
+    options.shards = 65;  // Above the derived count's cap.
     EXPECT_FALSE(RunServe(options).ok());
   }
 }

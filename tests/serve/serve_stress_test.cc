@@ -1,6 +1,6 @@
 // Randomized multi-thread stress for the concurrent serving path: full
-// RunServe storms across shard counts, and direct mixed-op storms against a
-// sharded CacheEngine. Every storm must end with each shard's cache/directory
+// RunServe storms across shard counts (each run twice, with the same hit
+// mix), and direct mixed-op storms against a sharded CacheEngine. Every storm must end with each shard's cache/directory
 // invariants intact (CheckCacheDirectoryConsistency). These tests are in the
 // tsan preset's filter so the synchronization claims are checked, not assumed.
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ TEST(ServeStressTest, HarnessStormsStayConsistentAcrossShardCounts) {
     options.ops = 20'000;
     options.warmup_ops = 2'000;
     options.num_files = 500;
-    options.zipf_s = 1.1;  // Hot keys concentrate contention on few shards.
+    options.zipf_s = 1.1;  // Hot keys concentrate the load on few shards.
     options.seed = 100 + shards;
     options.config.client_cache_blocks = 64;
     options.config.server_cache_blocks = 256;
@@ -39,6 +39,12 @@ TEST(ServeStressTest, HarnessStormsStayConsistentAcrossShardCounts) {
     EXPECT_TRUE(report->consistent) << report->consistency_error;
     EXPECT_EQ(report->shards, shards);
     EXPECT_EQ(report->get_ops + report->put_ops, options.ops);
+
+    // One thread at a time runs each shard, in seq order: the hit mix
+    // repeats exactly.
+    Result<ServeReport> again = RunServe(options);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again->get_level_counts, report->get_level_counts);
   }
 }
 

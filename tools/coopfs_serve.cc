@@ -1,25 +1,26 @@
 // coopfs_serve: live multi-node serving harness CLI (src/serve).
 //
-// Runs a closed-loop get/put storm of N client threads against the sharded
-// CacheEngine, prints the per-level tail-latency table, and optionally
-// exports the measurement as a "coopfs.bench/v1" document plus a
-// "coopfs.run/v1" manifest recording how to re-run it.
+// Runs a get/put storm against the sharded CacheEngine (each round, one
+// thread runs each shard's requests), prints the per-level tail-latency
+// table, and optionally exports the measurement as a "coopfs.bench/v1"
+// document plus a "coopfs.run/v1" manifest recording how to re-run it.
 //
 // Usage: coopfs_serve [--threads N] [--shards N] [--clients N]
 //            [--policy NAME] [--ops N] [--warmup N] [--get-fraction F]
 //            [--mix zipf|trace] [--files N] [--blocks-per-file N] [--zipf S]
-//            [--think-us US] [--seed N] [--client-cache-mib MIB]
-//            [--server-cache-mib MIB] [--out BENCH.json] [--manifest RUN.json]
+//            [--seed N] [--client-cache-mib MIB] [--server-cache-mib MIB]
+//            [--out BENCH.json] [--manifest RUN.json]
 //
 // Exit codes: 0 = run completed and invariants held, 1 = run or export
-// failed (including a post-drain consistency violation), 2 = usage error.
+// failed (including a post-drain consistency violation), 2 = usage error
+// (an unknown flag, a flag without its value, or a malformed number).
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/status.h"
 #include "src/obs/run_manifest.h"
 #include "src/serve/serve_harness.h"
@@ -32,9 +33,9 @@ int Usage() {
                "usage: coopfs_serve [--threads N] [--shards N] [--clients N]\n"
                "           [--policy NAME] [--ops N] [--warmup N] [--get-fraction F]\n"
                "           [--mix zipf|trace] [--files N] [--blocks-per-file N]\n"
-               "           [--zipf S] [--think-us US] [--seed N]\n"
-               "           [--client-cache-mib MIB] [--server-cache-mib MIB]\n"
-               "           [--out BENCH.json] [--manifest RUN.json]\n");
+               "           [--zipf S] [--seed N] [--client-cache-mib MIB]\n"
+               "           [--server-cache-mib MIB] [--out BENCH.json]\n"
+               "           [--manifest RUN.json]\n");
   return 2;
 }
 
@@ -56,12 +57,18 @@ int Run(int argc, char** argv) {
     const auto has_value = [&](const char* flag) {
       return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
     };
+    // Consumes the current flag's value as a number.
+    const auto number = [&](auto* out) {
+      const char* flag = argv[i];
+      return ParseFlagNumber(flag, argv[++i], out);
+    };
+    Status parsed;
     if (has_value("--threads")) {
-      options.client_threads = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = number(&options.client_threads);
     } else if (has_value("--shards")) {
-      options.shards = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = number(&options.shards);
     } else if (has_value("--clients")) {
-      options.num_clients = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = number(&options.num_clients);
     } else if (has_value("--policy")) {
       Result<PolicyKind> kind = ParsePolicyKind(argv[++i]);
       if (!kind.ok()) {
@@ -70,11 +77,11 @@ int Run(int argc, char** argv) {
       }
       options.policy = *kind;
     } else if (has_value("--ops")) {
-      options.ops = std::strtoull(argv[++i], nullptr, 10);
+      parsed = number(&options.ops);
     } else if (has_value("--warmup")) {
-      options.warmup_ops = std::strtoull(argv[++i], nullptr, 10);
+      parsed = number(&options.warmup_ops);
     } else if (has_value("--get-fraction")) {
-      options.get_fraction = std::strtod(argv[++i], nullptr);
+      parsed = number(&options.get_fraction);
     } else if (has_value("--mix")) {
       const char* mix = argv[++i];
       if (std::strcmp(mix, "zipf") == 0) {
@@ -86,22 +93,23 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (has_value("--files")) {
-      options.num_files = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = number(&options.num_files);
     } else if (has_value("--blocks-per-file")) {
-      options.blocks_per_file =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = number(&options.blocks_per_file);
     } else if (has_value("--zipf")) {
-      options.zipf_s = std::strtod(argv[++i], nullptr);
-    } else if (has_value("--think-us")) {
-      options.think_time_us = static_cast<Micros>(std::strtoll(argv[++i], nullptr, 10));
+      parsed = number(&options.zipf_s);
     } else if (has_value("--seed")) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
+      parsed = number(&options.seed);
     } else if (has_value("--client-cache-mib")) {
-      options.config.client_cache_blocks =
-          BytesToBlocks(MiB(std::strtoull(argv[++i], nullptr, 10)));
+      std::size_t mib = 0;
+      if (parsed = number(&mib); parsed.ok()) {
+        options.config.client_cache_blocks = BytesToBlocks(MiB(mib));
+      }
     } else if (has_value("--server-cache-mib")) {
-      options.config.server_cache_blocks =
-          BytesToBlocks(MiB(std::strtoull(argv[++i], nullptr, 10)));
+      std::size_t mib = 0;
+      if (parsed = number(&mib); parsed.ok()) {
+        options.config.server_cache_blocks = BytesToBlocks(MiB(mib));
+      }
     } else if (has_value("--out")) {
       out_path = argv[++i];
     } else if (has_value("--manifest")) {
@@ -109,6 +117,10 @@ int Run(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "coopfs_serve: unknown or incomplete flag '%s'\n", argv[i]);
       return Usage();
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "coopfs_serve: %s\n", parsed.message().c_str());
+      return 2;
     }
   }
 
@@ -134,7 +146,7 @@ int Run(int argc, char** argv) {
     RunManifest manifest;
     manifest.experiment = "coopfs_serve";
     manifest.title = "Live serving storm";
-    manifest.description = "closed-loop get/put storm over the sharded cache engine";
+    manifest.description = "get/put storm over the sharded cache engine, one thread per shard";
     manifest.workloads.push_back(report->mix);
     manifest.events = options.ops;
     manifest.seed = options.seed;
@@ -158,8 +170,7 @@ int Run(int argc, char** argv) {
         ShortestDouble(options.get_fraction) + " --mix " + report->mix + " --files " +
         std::to_string(options.num_files) + " --blocks-per-file " +
         std::to_string(options.blocks_per_file) + " --zipf " +
-        ShortestDouble(options.zipf_s) + " --think-us " +
-        std::to_string(options.think_time_us) + " --seed " + std::to_string(options.seed) +
+        ShortestDouble(options.zipf_s) + " --seed " + std::to_string(options.seed) +
         " --client-cache-mib " + std::to_string(CacheMiB(options.config.client_cache_blocks)) +
         " --server-cache-mib " + std::to_string(CacheMiB(options.config.server_cache_blocks));
     if (!out_path.empty()) {
