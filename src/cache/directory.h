@@ -5,8 +5,10 @@
 // requests. The directory maps each block to the set of clients holding a
 // copy; holder counts make is-this-a-singlet queries O(1) (paper §2.4).
 //
-// The directory also maintains a per-file index of blocks with at least one
-// holder so whole-file deletes and invalidations do not scan every cache.
+// The directory also keeps a per-file index of the blocks it tracks, updated
+// on each block's first AddHolder and on every EraseBlock. The replay path
+// never reads it: whole-file deletes walk SimContext::KnownBlocksOfFile.
+// Only BlocksOfFile (tests) and FileIndexStats (observability) read it.
 //
 // Hot-path layout: both maps are open-addressing FlatHashMaps keyed on
 // packed ids, and each holder set is an InlineVec that stores up to four

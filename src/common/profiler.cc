@@ -14,7 +14,6 @@ namespace coopfs {
 
 std::atomic<bool> Profiler::enabled_{false};
 std::atomic<std::uint64_t> Profiler::allocation_count_{0};
-std::atomic<std::uint64_t> Profiler::allocation_bytes_{0};
 
 namespace internal {
 

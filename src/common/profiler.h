@@ -78,34 +78,25 @@ class Profiler {
   // Renders the snapshot, self-validates by re-parsing, writes to `path`.
   static Status WriteFile(const std::string& path);
 
-  // ---- Heap-allocation counters ----
+  // ---- Heap-allocation counter ----
   //
-  // Process-wide relaxed counters of global operator new traffic. The
-  // library never overrides the global allocator itself; a TU that does
-  // (tests/sim/replay_allocation_test.cc) forwards every allocation here,
+  // Process-wide relaxed count of global operator new calls. The library
+  // never overrides the global allocator itself; a TU that does
+  // (tests/sim/replay_allocation_test.cc) records every allocation here,
   // and the steady-state replay test asserts the delta across a warmed-up
   // arena-backed run is zero. Always safe to read; zero until someone feeds
-  // them.
-  static void RecordAllocation(std::size_t bytes) {
+  // it.
+  static void RecordAllocation() {
     allocation_count_.fetch_add(1, std::memory_order_relaxed);
-    allocation_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
   static std::uint64_t AllocationCount() {
     return allocation_count_.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t AllocationBytes() {
-    return allocation_bytes_.load(std::memory_order_relaxed);
-  }
-  static void ResetAllocationCounters() {
-    allocation_count_.store(0, std::memory_order_relaxed);
-    allocation_bytes_.store(0, std::memory_order_relaxed);
   }
 
  private:
   friend class ProfileSpan;
   static std::atomic<bool> enabled_;
   static std::atomic<std::uint64_t> allocation_count_;
-  static std::atomic<std::uint64_t> allocation_bytes_;
 };
 
 // ---- Document helpers (shared by the class above, tools, and tests) ----

@@ -1,12 +1,10 @@
 #include "src/core/sweep.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <cstdint>
 #include <thread>
 
 #include "src/common/arena.h"
-#include "src/common/completion_queue.h"
 
 namespace coopfs {
 namespace {
@@ -18,26 +16,10 @@ struct alignas(64) PaddedResultSlot {
   Result<SimulationResult> value{Status::Internal("job never ran")};
 };
 
-// Runs one job, drawing context storage from `arena` unless the job brought
-// its own. The arena is reset first, so each job starts from an empty (but
-// fully page-warmed, after the first job) allocation window.
-Result<SimulationResult> RunOneJob(const Trace& trace, const SimulationJob& job,
-                                   Arena* arena) {
-  SimulationConfig config = job.config;
-  if (config.arena == nullptr) {
-    arena->Reset();
-    config.arena = arena;
-  }
-  Simulator simulator(config, &trace);
-  auto policy = MakePolicy(job.kind, job.params);
-  return simulator.Run(*policy);
-}
-
 }  // namespace
 
 std::vector<Result<SimulationResult>> RunSimulationsParallel(
-    const Trace& trace, const std::vector<SimulationJob>& jobs, std::size_t threads,
-    const SweepCallback& on_job_done) {
+    const Trace& trace, const std::vector<SimulationJob>& jobs, std::size_t threads) {
   const std::size_t hardware =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   if (threads == 0) {
@@ -50,83 +32,40 @@ std::vector<Result<SimulationResult>> RunSimulationsParallel(
   // 4-core host runs 4.
   threads = std::min({threads, jobs.size(), hardware});
 
-  std::vector<Result<SimulationResult>> results(jobs.size(),
-                                                Status::Internal("job never ran"));
-  if (jobs.empty()) {
-    return results;
-  }
-  if (threads <= 1) {
-    Arena arena;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = RunOneJob(trace, jobs[i], &arena);
-      if (on_job_done) {
-        on_job_done(i, results[i]);
-      }
-    }
-    return results;
-  }
-
   std::vector<PaddedResultSlot> slots(jobs.size());
-  // Sized to hold every job, so TryPush below can never find the ring full.
-  CompletionQueue<std::size_t> completions(jobs.size());
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-
   auto worker = [&] {
     Arena arena;
-    while (true) {
-      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= jobs.size()) {
-        return;
-      }
-      slots[index].value = RunOneJob(trace, jobs[index], &arena);
-      // Publish before bumping `completed`: a drainer that observes the
-      // count always finds the index already in the ring.
-      const bool pushed = completions.TryPush(index);
-      (void)pushed;
-      assert(pushed && "completion ring sized to the job count");
-      completed.fetch_add(1, std::memory_order_release);
-      completed.notify_one();
+    for (std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+         index < jobs.size(); index = next.fetch_add(1, std::memory_order_relaxed)) {
+      const SimulationJob& job = jobs[index];
+      // Each job starts from an empty (but, after the first job, fully
+      // page-warmed) allocation window.
+      arena.Reset();
+      SimulationConfig config = job.config;
+      config.arena = &arena;
+      Simulator simulator(config, &trace);
+      auto policy = MakePolicy(job.kind, job.params);
+      slots[index].value = simulator.Run(*policy);
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back(worker);
-  }
-
-  if (on_job_done) {
-    // Drain on this thread, releasing callbacks in submission order as the
-    // front of the job list completes. Workers never block here.
-    std::vector<std::uint8_t> done(jobs.size(), 0);
-    std::size_t delivered = 0;
-    std::size_t popped = 0;
-    while (delivered < jobs.size()) {
-      std::size_t index;
-      if (completions.TryPop(&index)) {
-        ++popped;
-        done[index] = 1;
-        while (delivered < jobs.size() && done[delivered] != 0) {
-          on_job_done(delivered, slots[delivered].value);
-          ++delivered;
-        }
-        continue;
-      }
-      // Ring empty. If every completion so far has been popped, sleep until
-      // a worker bumps the count; otherwise a push landed between our pop
-      // and this check — just retry.
-      const std::size_t seen = completed.load(std::memory_order_acquire);
-      if (seen == popped) {
-        completed.wait(seen, std::memory_order_acquire);
-      }
+  if (threads <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back(worker);
+    }
+    for (std::thread& thread : pool) {
+      thread.join();
     }
   }
 
-  for (std::thread& thread : pool) {
-    thread.join();
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    results[i] = std::move(slots[i].value);
+  std::vector<Result<SimulationResult>> results;
+  results.reserve(jobs.size());
+  for (PaddedResultSlot& slot : slots) {
+    results.push_back(std::move(slot.value));
   }
   return results;
 }

@@ -3,22 +3,19 @@
 // Every figure in the paper is a sweep: the same trace replayed under many
 // (configuration, policy) pairs, each run fully independent (the trace is
 // shared read-only; each run builds its own SimContext). RunSimulationsParallel
-// fans the runs out over a thread pool and returns results in input order.
+// fans the runs out over worker threads and returns results in input order.
 // Determinism is unaffected: each run's result depends only on its own
 // (config, policy), never on scheduling.
 //
-// Scaling design (see docs/performance.md): each worker owns a reusable
-// Arena that every job's SimContext draws from, so steady-state sweeping
-// performs no global-heap traffic and workers never contend on the
-// allocator; per-job result slots are cache-line padded against false
-// sharing; and completions flow through a bounded lock-free queue drained
-// by the calling thread, which fires the callback in submission order —
-// workers never serialize on a callback mutex.
+// Scaling design (see docs/performance.md): workers claim jobs from one
+// atomic index; each worker owns a reusable Arena that every job it runs
+// draws its SimContext from, so steady-state sweeping performs no
+// global-heap traffic and workers never contend on the allocator; and
+// per-job result slots are cache-line padded against false sharing.
 #ifndef COOPFS_SRC_CORE_SWEEP_H_
 #define COOPFS_SRC_CORE_SWEEP_H_
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "src/core/policy_factory.h"
@@ -33,26 +30,15 @@ struct SimulationJob {
   PolicyParams params;
 };
 
-// Invoked once per job with its input index and result (which may carry an
-// error Status). Invocations all happen on the calling thread, in submission
-// (job-index) order — callbacks may print or mutate shared state without any
-// locking. Job i's callback fires as soon as jobs 0..i have all completed,
-// overlapping with still-running later jobs.
-using SweepCallback = std::function<void(std::size_t job_index, const Result<SimulationResult>&)>;
-
 // Runs all jobs against `trace` using up to `threads` worker threads
 // (0 = hardware concurrency; requests beyond the core count or the job
 // count are clamped — oversubscribing a CPU-bound replay only adds context
-// switches and cache thrash). Results are returned in job order; a failed
-// run carries its error Status. `on_job_done`, when set, fires once per job
-// in job order (driver progress lines).
-//
-// Jobs whose config has no arena attached are run against a per-worker
-// arena owned by the sweep; a caller-provided config.arena is used as-is
-// (the caller must then ensure jobs sharing an arena never run concurrently).
+// switches and cache thrash). With one worker left after the clamp, the jobs
+// run on the calling thread. Results are returned in job order; a failed
+// run carries its error Status. Each job runs against its worker's arena,
+// which replaces any config.arena the job carries.
 std::vector<Result<SimulationResult>> RunSimulationsParallel(
-    const Trace& trace, const std::vector<SimulationJob>& jobs, std::size_t threads = 0,
-    const SweepCallback& on_job_done = nullptr);
+    const Trace& trace, const std::vector<SimulationJob>& jobs, std::size_t threads = 0);
 
 }  // namespace coopfs
 

@@ -25,8 +25,7 @@ Micros WriteLatency(const SimulationConfig& config) {
 }
 
 CacheEngine::CacheEngine(const SimulationConfig& config, std::uint32_t num_clients,
-                         Policy& policy)
-    : num_clients_(num_clients) {
+                         Policy& policy) {
   auto shard = std::make_unique<Shard>();
   shard->config = &config;
   shard->context = std::make_unique<SimContext>(config, num_clients,
@@ -40,8 +39,7 @@ CacheEngine::CacheEngine(const SimulationConfig& config, std::uint32_t num_clien
 }
 
 CacheEngine::CacheEngine(const SimulationConfig& config, std::uint32_t num_clients,
-                         const EnginePolicyFactory& factory, std::uint32_t shards)
-    : num_clients_(num_clients) {
+                         const EnginePolicyFactory& factory, std::uint32_t shards) {
   std::uint32_t count = 1;
   while (count < shards) {
     count <<= 1;
@@ -127,13 +125,6 @@ Micros CacheEngine::Admit(ClientId client, BlockId block, Micros now) {
   }
   shard.policy->Write(client, block);
   return WriteLatency(*shard.config);
-}
-
-ClientId CacheEngine::Forward(ClientId requester, BlockId block) {
-  Shard& shard = ShardForBlock(block);
-  const std::unique_lock<std::mutex> guard = Guard(shard);
-  SimContext& ctx = *shard.context;
-  return ctx.directory().PickHolder(block, requester, ctx.rng());
 }
 
 void CacheEngine::Evict(ClientId client, FileId file) {

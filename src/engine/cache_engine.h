@@ -1,10 +1,13 @@
-// Concurrency-safe cooperative-cache engine (the ROADMAP's serving core).
+// Concurrency-safe cooperative-cache engine: the one narrow interface that
+// trace replay and the serve harness share.
 //
-// CacheEngine packages the policy/state machinery that the trace-replay
-// Simulator used to drive directly — a Policy over a SimContext (client
-// BlockCaches, server cache, sharded Directory, clock, RNG) — behind a small
-// operational API: Lookup (read path), Admit (write-through put), Forward
-// (manager holder query), Evict (whole-file purge), ReadAttr, Reboot, Tick.
+// CacheEngine packages a Policy over a SimContext (client BlockCaches,
+// server cache, sharded Directory, clock, RNG) behind the operations a
+// file-system client issues: Lookup (read path), Admit (write-through put),
+// Evict (whole-file purge), ReadAttr (attribute refresh), Reboot and Tick.
+// Forwarding a miss to a peer that holds the block is part of the read
+// path, as in the paper (§2.2-2.4): each policy's Read queries the
+// directory itself, so the engine offers no separate holder query.
 //
 // Two construction modes share one code path:
 //
@@ -18,7 +21,7 @@
 //     worlds, each with its own SimContext, its own Policy instance (from a
 //     caller-supplied factory), and its own mutex. Requests route to a shard
 //     by the SplitMix64 finalizer of the file id — the same routing the
-//     sharded Directory uses internally (PR 9) — so every operation touches
+//     sharded Directory uses internally — so every operation touches
 //     exactly one shard and takes exactly one lock (Reboot, which is
 //     per-client rather than per-file, visits shards one at a time and never
 //     holds two locks). Per-shard cache capacities are the configured
@@ -96,13 +99,6 @@ class CacheEngine {
   // (WriteLatency); the replay path ignores it.
   Micros Admit(ClientId client, BlockId block);
 
-  // Manager forwarding decision: the client that would serve `block` to
-  // `requester` from remote memory, or kNoClient if no other client holds
-  // it. Query-only with respect to cache state, but consumes shard RNG (the
-  // directory picks a random holder), so the replay fast path never calls
-  // it.
-  ClientId Forward(ClientId requester, BlockId block);
-
   // Whole-file purge (Policy::Delete): every cached copy and all directory
   // state for `file` is dropped.
   void Evict(ClientId client, FileId file);
@@ -130,7 +126,6 @@ class CacheEngine {
   void SetAccounting(bool on);
 
   std::uint32_t num_shards() const { return static_cast<std::uint32_t>(shards_.size()); }
-  std::uint32_t num_clients() const { return num_clients_; }
   bool synchronized() const { return synchronized_; }
 
   // Shard that owns `file`'s blocks (SplitMix64 routing, matching
@@ -147,7 +142,6 @@ class CacheEngine {
   // shard), tests, and post-drain validation. NOT synchronized: concurrent-
   // mode callers must quiesce client threads first.
   SimContext& context(std::uint32_t shard = 0) { return *shards_[shard]->context; }
-  Policy& policy(std::uint32_t shard = 0) { return *shards_[shard]->policy; }
   const SimulationConfig& shard_config(std::uint32_t shard = 0) const {
     return *shards_[shard]->config;
   }
@@ -176,7 +170,6 @@ class CacheEngine {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint32_t shard_mask_ = 0;
-  std::uint32_t num_clients_ = 0;
   bool synchronized_ = false;
 };
 

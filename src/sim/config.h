@@ -114,9 +114,10 @@ struct SimulationConfig {
   // non-null, the per-client/server BlockCaches, the directory, and the
   // known-blocks indexes draw their storage from it instead of the global
   // heap. The arena must outlive the run and is NOT reset by the simulator —
-  // the owner resets it between runs. Not synchronized: concurrent jobs
-  // (RunSimulationsParallel) must each use their own arena, or null. Null
-  // (the default) keeps everything on the global heap.
+  // the owner resets it between runs. Not synchronized: concurrent runs
+  // must each use their own arena (RunSimulationsParallel attaches one per
+  // worker, replacing any set here), or null. Null (the default) keeps
+  // everything on the global heap.
   Arena* arena = nullptr;
 
   // Per-client metrics memory policy (see MetricsDetail). kBounded replays
@@ -149,14 +150,6 @@ struct SimulationConfig {
   }
   SimulationConfig& WithServerCacheMiB(std::size_t mib) {
     server_cache_blocks = BytesToBlocks(MiB(mib));
-    return *this;
-  }
-  SimulationConfig& WithWarmup(std::uint64_t events) {
-    warmup_events = events;
-    return *this;
-  }
-  SimulationConfig& WithNetwork(const NetworkModel& model) {
-    network = model;
     return *this;
   }
 };

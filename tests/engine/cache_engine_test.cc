@@ -70,19 +70,23 @@ TEST(CacheEngineTest, EvictDropsEveryCopy) {
   EXPECT_EQ(engine.Lookup(2, block).read.level, CacheLevel::kServerDisk);
 }
 
-TEST(CacheEngineTest, ForwardNamesAnotherHolderNeverTheRequester) {
+TEST(CacheEngineTest, ReadAttrRenewsTheFilesCachedBlocks) {
   const SimulationConfig config = SmallConfig();
-  std::unique_ptr<Policy> policy = MakePolicy(PolicyKind::kNChance);
+  std::unique_ptr<Policy> policy = MakePolicy(PolicyKind::kBaseline);
   CacheEngine engine(config, config.num_clients, *policy);
 
-  const BlockId block{4, 0};
-  engine.Lookup(0, block);  // Cached at client 0 (and the server).
+  // Fill client 0's 8-block cache with {1,0} as its least recently used
+  // block, then renew file 1 through an attribute refresh.
+  engine.Lookup(0, BlockId{1, 0});
+  for (BlockIndex b = 0; b < 7; ++b) {
+    engine.Lookup(0, BlockId{2, b});
+  }
+  engine.ReadAttr(0, 1);
 
-  EXPECT_EQ(engine.Forward(1, block), 0u);
-  // The only holder is the requester itself: nothing to forward to.
-  EXPECT_EQ(engine.Forward(0, block), kNoClient);
-  // A block nobody read has no holders at all.
-  EXPECT_EQ(engine.Forward(1, BlockId{77, 0}), kNoClient);
+  // The next insertion evicts {2,0}, now the oldest, instead of {1,0}.
+  engine.Lookup(0, BlockId{3, 0});
+  EXPECT_EQ(engine.Lookup(0, BlockId{1, 0}).read.level, CacheLevel::kLocalMemory);
+  EXPECT_NE(engine.Lookup(0, BlockId{2, 0}).read.level, CacheLevel::kLocalMemory);
 }
 
 TEST(CacheEngineTest, RebootLosesTheClientsCache) {

@@ -71,7 +71,7 @@ TEST(ServeStressTest, HarnessStormSurvivesRandomSeeds) {
 }
 
 // Drive the sharded engine directly from many threads with a mixed op
-// stream — Lookup, Admit, Evict, Forward, and the occasional Reboot — then
+// stream — Lookup, Admit, Evict, ReadAttr, and the occasional Reboot — then
 // check every shard's directory against its caches.
 TEST(ServeStressTest, DirectEngineStormKeepsEveryShardConsistent) {
   SimulationConfig config;
@@ -109,7 +109,7 @@ TEST(ServeStressTest, DirectEngineStormKeepsEveryShardConsistent) {
             engine.Evict(client, block.file);
             break;
           case 2:
-            engine.Forward(client, block);
+            engine.ReadAttr(client, block.file);
             break;
           case 3:
             if (rng.NextBelow(100) == 0) {

@@ -2,7 +2,7 @@
 // the per-run arena is warm.
 //
 // This TU overrides the global allocation operators and forwards every
-// acquisition to the profiler's allocation counters
+// acquisition to the profiler's allocation counter
 // (Profiler::RecordAllocation); the library itself never touches the global
 // allocator, so the counters are exact for this process. The probe policy
 // wraps a real policy and snapshots the counter at the simulator's warm-up
@@ -38,7 +38,7 @@
 namespace {
 
 void* CountedAlloc(std::size_t size) {
-  coopfs::Profiler::RecordAllocation(size);
+  coopfs::Profiler::RecordAllocation();
   void* p = std::malloc(size != 0 ? size : 1);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -47,7 +47,7 @@ void* CountedAlloc(std::size_t size) {
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t alignment) {
-  coopfs::Profiler::RecordAllocation(size);
+  coopfs::Profiler::RecordAllocation();
   const std::size_t padded = (size + alignment - 1) / alignment * alignment;
   void* p = std::aligned_alloc(alignment, padded != 0 ? padded : alignment);
   if (p == nullptr) {
