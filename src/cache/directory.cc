@@ -5,6 +5,7 @@ namespace coopfs {
 namespace {
 
 const Directory::HolderList kEmptyHolders{};
+const Directory::FileBlockList kEmptyBlocks{};
 
 std::uint32_t RoundUpPowerOfTwo(std::uint32_t value) {
   std::uint32_t result = 1;
@@ -49,16 +50,19 @@ void Directory::Reserve(std::size_t expected_blocks, std::size_t expected_files)
   }
 }
 
-void Directory::AddHolder(BlockId block, ClientId client) {
-  Shard& shard = ShardFor(block.file);
+Directory::PerBlock& Directory::Register(Shard& shard, BlockId block) {
   auto [per_block, inserted] = shard.holders.TryEmplace(block.Pack());
   if (inserted) {
-    // First time this block is tracked: register it with its file. Entries
-    // whose holder sets empty later stay registered (and stay in holders)
-    // so re-adding a holder never duplicates the file index.
-    shard.file_index[block.file].push_back(block.Pack(), shard.arena);
+    shard.file_index[block.file].push_back(block, shard.arena);
   }
-  HolderList& list = per_block->holders;
+  return *per_block;
+}
+
+void Directory::NoteBlock(BlockId block) { Register(ShardFor(block.file), block); }
+
+void Directory::AddHolder(BlockId block, ClientId client) {
+  Shard& shard = ShardFor(block.file);
+  HolderList& list = Register(shard, block).holders;
   if (!list.ContainsValue(client)) {
     list.push_back(client, shard.arena);
     CountOp(DirectoryOpKind::kAddHolder, block, client);
@@ -113,37 +117,9 @@ ClientId Directory::PickHolder(BlockId block, ClientId exclude, Rng& rng) const 
   return kNoClient;
 }
 
-std::vector<BlockId> Directory::BlocksOfFile(FileId file) const {
-  std::vector<BlockId> result;
-  const Shard& shard = ShardFor(file);
-  const FileBlockList* blocks = shard.file_index.Find(file);
-  if (blocks == nullptr) {
-    return result;
-  }
-  result.reserve(blocks->size());
-  for (std::uint64_t packed : *blocks) {
-    const BlockId block = BlockId::Unpack(packed);
-    const PerBlock* per_block = shard.holders.Find(packed);
-    if (per_block != nullptr && !per_block->holders.empty()) {
-      result.push_back(block);
-    }
-  }
-  return result;
-}
-
-void Directory::EraseBlock(BlockId block) {
-  Shard& shard = ShardFor(block.file);
-  if (!shard.holders.Erase(block.Pack())) {
-    return;
-  }
-  CountOp(DirectoryOpKind::kEraseBlock, block, kNoClient);
-  FileBlockList* blocks = shard.file_index.Find(block.file);
-  if (blocks != nullptr) {
-    blocks->SwapRemove(block.Pack());
-    if (blocks->empty()) {
-      shard.file_index.Erase(block.file);
-    }
-  }
+const Directory::FileBlockList& Directory::KnownBlocks(FileId file) const {
+  const FileBlockList* blocks = ShardFor(file).file_index.Find(file);
+  return blocks == nullptr ? kEmptyBlocks : *blocks;
 }
 
 std::size_t Directory::NumTrackedBlocks() const {

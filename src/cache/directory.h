@@ -5,10 +5,12 @@
 // requests. The directory maps each block to the set of clients holding a
 // copy; holder counts make is-this-a-singlet queries O(1) (paper §2.4).
 //
-// The directory also keeps a per-file index of the blocks it tracks, updated
-// on each block's first AddHolder and on every EraseBlock. The replay path
-// never reads it: whole-file deletes walk SimContext::KnownBlocksOfFile.
-// Only BlocksOfFile (tests) and FileIndexStats (observability) read it.
+// It is also the simulator's one record of which blocks each file has. A
+// block gets its record on first reference (NoteBlock, or AddHolder for a
+// block never noted) and keeps it, with or without holders, until its file
+// is erased. Each file lists its known blocks in first-reference order;
+// whole-file deletes (EraseFile) and attribute refreshes (KnownBlocks) walk
+// that list.
 //
 // Hot-path layout: both maps are open-addressing FlatHashMaps keyed on
 // packed ids, and each holder set is an InlineVec that stores up to four
@@ -18,10 +20,10 @@
 // simulation's aggregate cache capacity so replay runs rehash-free.
 //
 // Scale-out sharding: the directory can be split into N independent shards
-// (power of two), each with its own holder map, file index, and arena.
+// (power of two), each with its own block map, file lists, and arena.
 // Blocks are routed by a hash of their *file* id, so a file's blocks — and
-// its file-index list — always live in one shard: BlocksOfFile, deletes,
-// and invalidations stay single-shard operations with unchanged iteration
+// its list — always live in one shard: deletes, attribute refreshes and
+// invalidations stay single-shard operations with unchanged iteration
 // order, which keeps every export byte-identical at any shard count (the
 // shard-determinism ctest pins that). One shard (the default) is exactly
 // the pre-sharding layout. Sharding bounds per-map size and rehash cost at
@@ -46,7 +48,7 @@ namespace coopfs {
 enum class DirectoryOpKind : std::uint8_t {
   kAddHolder = 0,    // A client registered a new copy.
   kRemoveHolder = 1, // A client's copy was dropped.
-  kEraseBlock = 2,   // All state for a block was erased (delete/invalidate).
+  kEraseBlock = 2,   // All state for a block was erased (whole-file delete).
 };
 
 // Observer of individual directory mutations (observability extension; the
@@ -68,13 +70,13 @@ class Directory {
   // four inline slots cover the common case without heap traffic.
   using HolderList = InlineVec<ClientId, 4>;
 
-  // Blocks of one file with (possibly stale) holder state. Most files have a
-  // handful of tracked blocks at a time; spills draw from the arena.
-  using FileBlockList = InlineVec<std::uint64_t, 4>;
+  // Known blocks of one file, in first-reference order. Most files have a
+  // handful of blocks; spills draw from the arena.
+  using FileBlockList = InlineVec<BlockId, 4>;
 
   Directory() : Directory(nullptr, 1) {}
 
-  // Both indexes — and any holder-set or file-list spill past the inline
+  // Both maps — and any holder-set or file-list spill past the inline
   // capacity — draw from `arena` (null = global heap). With `shards` > 1
   // (rounded up to a power of two) the directory is split into independent
   // shards routed by file-id hash; each shard then owns a private arena and
@@ -85,8 +87,8 @@ class Directory {
   Directory(const Directory&) = delete;
   Directory& operator=(const Directory&) = delete;
 
-  // Pre-sizes the block maps for `expected_blocks` tracked blocks and the
-  // file indexes for `expected_files` files (divided evenly across shards)
+  // Pre-sizes the block maps for `expected_blocks` known blocks and the
+  // file lists for `expected_files` files (divided evenly across shards)
   // so steady-state replay never rehashes. Zero leaves the default growth
   // behaviour.
   void Reserve(std::size_t expected_blocks, std::size_t expected_files);
@@ -100,7 +102,12 @@ class Directory {
   // mutations the op counter counts, with block/client detail.
   void set_observer(DirectoryObserver* observer) { observer_ = observer; }
 
-  // Records that `client` now caches `block`. Idempotent.
+  // Records a reference to `block`: the first one creates its record and
+  // appends it to its file's list. Idempotent.
+  void NoteBlock(BlockId block);
+
+  // Records that `client` now caches `block` (noting the block first if
+  // needed). Idempotent.
   void AddHolder(BlockId block, ClientId client);
 
   // Records that `client` no longer caches `block`. No-op if not a holder.
@@ -124,13 +131,31 @@ class Directory {
   // none). Used to forward a read to one of several caching clients.
   ClientId PickHolder(BlockId block, ClientId exclude, Rng& rng) const;
 
-  // Blocks of `file` with at least one holder. May contain blocks whose
-  // holder sets have since emptied; callers re-check HolderCount.
-  std::vector<BlockId> BlocksOfFile(FileId file) const;
+  // Known blocks of `file` in first-reference order, with or without
+  // holders (empty if none). The reference is invalidated by any directory
+  // mutation.
+  const FileBlockList& KnownBlocks(FileId file) const;
 
-  // Drops all state for `block` (delete/invalidate).
-  void EraseBlock(BlockId block);
+  // Drops all state for `file` (whole-file delete). Visits each known block
+  // in first-reference order as visitor(BlockId, const HolderList&), then
+  // erases the block's record, counting one kEraseBlock; last, drops the
+  // file's list. `visitor` must not mutate the directory.
+  template <typename Fn>
+  void EraseFile(FileId file, Fn&& visitor) {
+    Shard& shard = ShardFor(file);
+    const FileBlockList* blocks = shard.file_index.Find(file);
+    if (blocks == nullptr) {
+      return;
+    }
+    for (const BlockId& block : *blocks) {
+      visitor(block, shard.holders.Find(block.Pack())->holders);
+      shard.holders.Erase(block.Pack());
+      CountOp(DirectoryOpKind::kEraseBlock, block, kNoClient);
+    }
+    shard.file_index.Erase(file);
+  }
 
+  // Known blocks, with or without holders.
   std::size_t NumTrackedBlocks() const;
 
   // Number of shards (power of two; 1 = unsharded layout).
@@ -173,9 +198,10 @@ class Directory {
     }
   }
 
-  // Probe-length / occupancy statistics of the two indexes, aggregated
-  // across shards (observability): sizes, buckets, and rehash counts sum;
-  // probe lengths take the worst shard / the size-weighted mean.
+  // Probe-length / occupancy statistics of the block map and the file-list
+  // map, aggregated across shards (observability): sizes, buckets, and
+  // rehash counts sum; probe lengths take the worst shard / the
+  // size-weighted mean.
   FlatMapStats HoldersIndexStats() const;
   FlatMapStats FileIndexStats() const;
 
@@ -198,18 +224,17 @@ class Directory {
     Shard(Shard&&) = default;
   };
 
-  // Shard routing hashes the file id (SplitMix64 finalizer), not the whole
-  // block id, so a file's blocks share a shard and the per-file index never
-  // spans shards.
+  // Shard routing hashes the file id (SplitMix64), not the whole block id,
+  // so a file's blocks share a shard and its list never spans shards.
   std::size_t ShardIndexFor(FileId file) const {
-    std::uint64_t x = static_cast<std::uint64_t>(file) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x & shard_mask_);
+    return static_cast<std::size_t>(SplitMix64(file).Next() & shard_mask_);
   }
   Shard& ShardFor(FileId file) { return shards_[ShardIndexFor(file)]; }
   const Shard& ShardFor(FileId file) const { return shards_[ShardIndexFor(file)]; }
+
+  // `block`'s record, created and appended to its file's list on first
+  // reference.
+  PerBlock& Register(Shard& shard, BlockId block);
 
   void CountOp(DirectoryOpKind op, BlockId block, ClientId client) {
     if (op_counter_ != nullptr) {

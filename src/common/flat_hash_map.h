@@ -47,20 +47,9 @@
 
 #include "src/common/arena.h"
 #include "src/common/profiler.h"
+#include "src/common/types.h"
 
 namespace coopfs {
-
-// SplitMix64 finalizer: cheap, invertible, and well distributed for the
-// dense sequential ids (packed BlockId, FileId, ClientId) this codebase
-// keys on. Identical to the std::hash<BlockId> mixer in types.h.
-constexpr std::uint64_t MixHash64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
 
 // Default hasher: integral keys are mixed directly (std::hash on libstdc++
 // is the identity, which a power-of-two table cannot digest); anything else

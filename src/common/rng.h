@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/types.h"
+
 namespace coopfs {
 
 // SplitMix64: tiny generator used to expand a 64-bit seed into xoshiro state.
@@ -23,10 +25,7 @@ class SplitMix64 {
 
   constexpr std::uint64_t Next() {
     state_ += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return MixHash64(state_);
   }
 
  private:

@@ -34,6 +34,7 @@
 
 #include "src/common/flat_hash_map.h"
 #include "src/common/rng.h"
+#include "src/common/types.h"
 
 namespace coopfs {
 
@@ -58,9 +59,9 @@ class CountMinSketch {
   }
 
   void Add(std::uint64_t key, std::uint64_t count = 1) {
-    const std::uint64_t h1 = Mix(key + seed1_);
+    const std::uint64_t h1 = MixHash64(key + seed1_);
     // Odd stride: visits every cell of a power-of-two row before repeating.
-    const std::uint64_t h2 = Mix(key + seed2_) | 1;
+    const std::uint64_t h2 = MixHash64(key + seed2_) | 1;
     const std::size_t width = width_mask_ + 1;
     for (std::uint32_t d = 0; d < depth_; ++d) {
       counters_[d * width + static_cast<std::size_t>((h1 + d * h2) & width_mask_)] += count;
@@ -70,8 +71,8 @@ class CountMinSketch {
 
   // Point estimate: min over rows; never less than the true count.
   std::uint64_t Estimate(std::uint64_t key) const {
-    const std::uint64_t h1 = Mix(key + seed1_);
-    const std::uint64_t h2 = Mix(key + seed2_) | 1;
+    const std::uint64_t h1 = MixHash64(key + seed1_);
+    const std::uint64_t h2 = MixHash64(key + seed2_) | 1;
     const std::size_t width = width_mask_ + 1;
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
     for (std::uint32_t d = 0; d < depth_; ++d) {
@@ -106,14 +107,6 @@ class CountMinSketch {
   }
 
  private:
-  // SplitMix64 finalizer: cheap, well mixed, and exactly specified (the
-  // same mixer FlatHash uses).
-  static std::uint64_t Mix(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
   std::uint64_t width_mask_;
   std::uint32_t depth_;
   std::uint64_t seed1_ = 0;

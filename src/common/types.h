@@ -91,19 +91,25 @@ constexpr std::size_t BytesToBlocks(std::size_t bytes) { return bytes / kBlockSi
 
 constexpr std::size_t MiB(std::size_t mib) { return mib * 1024 * 1024; }
 
+// SplitMix64 finalizer: cheap, invertible, and well distributed for the
+// dense sequential ids (packed BlockId, FileId, ClientId) this codebase
+// keys on. The one copy: the BlockId hash, FlatHash, the count-min sketch,
+// the SplitMix64 generator and, through it, shard routing all call it.
+constexpr std::uint64_t MixHash64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
 }  // namespace coopfs
 
 template <>
 struct std::hash<coopfs::BlockId> {
   std::size_t operator()(const coopfs::BlockId& id) const noexcept {
-    // SplitMix64 finalizer: cheap, well-distributed for sequential ids.
-    std::uint64_t x = id.Pack();
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
+    return static_cast<std::size_t>(coopfs::MixHash64(id.Pack()));
   }
 };
 

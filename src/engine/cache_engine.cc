@@ -80,7 +80,7 @@ CacheEngine::CacheEngine(const SimulationConfig& config, std::uint32_t num_clien
 
 EngineOutcome CacheEngine::LookupLocked(Shard& shard, ClientId client, BlockId block) {
   SimContext& ctx = *shard.context;
-  ctx.NoteBlock(block);
+  ctx.directory().NoteBlock(block);
   TraceRecorder* tracer = ctx.tracer();
   if (tracer != nullptr) {
     tracer->BeginRead(client, block, ctx.accounting());
@@ -110,11 +110,16 @@ EngineOutcome CacheEngine::Lookup(ClientId client, BlockId block, Micros now) {
   return LookupLocked(shard, client, block);
 }
 
+Micros CacheEngine::AdmitLocked(Shard& shard, ClientId client, BlockId block) {
+  shard.context->directory().NoteBlock(block);
+  shard.policy->Write(client, block);
+  return WriteLatency(*shard.config);
+}
+
 Micros CacheEngine::Admit(ClientId client, BlockId block) {
   Shard& shard = ShardForBlock(block);
   const std::unique_lock<std::mutex> guard = Guard(shard);
-  shard.policy->Write(client, block);
-  return WriteLatency(*shard.config);
+  return AdmitLocked(shard, client, block);
 }
 
 Micros CacheEngine::Admit(ClientId client, BlockId block, Micros now) {
@@ -123,8 +128,7 @@ Micros CacheEngine::Admit(ClientId client, BlockId block, Micros now) {
   if (now > shard.context->now()) {
     shard.context->set_now(now);
   }
-  shard.policy->Write(client, block);
-  return WriteLatency(*shard.config);
+  return AdmitLocked(shard, client, block);
 }
 
 void CacheEngine::Evict(ClientId client, FileId file) {

@@ -41,6 +41,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/sim/config.h"
 #include "src/sim/context.h"
@@ -94,9 +95,9 @@ class CacheEngine {
   // policy, convert the outcome to latency, close the span.
   EngineOutcome Lookup(ClientId client, BlockId block);
 
-  // Write-through put (Policy::Write): invalidate other copies, install in
-  // the server cache, cache at the writer. Returns the modeled put latency
-  // (WriteLatency); the replay path ignores it.
+  // Write-through put: note the block, then Policy::Write — invalidate other
+  // copies, install in the server cache, cache at the writer. Returns the
+  // modeled put latency (WriteLatency); the replay path ignores it.
   Micros Admit(ClientId client, BlockId block);
 
   // Whole-file purge (Policy::Delete): every cached copy and all directory
@@ -131,11 +132,7 @@ class CacheEngine {
   // Shard that owns `file`'s blocks (SplitMix64 routing, matching
   // Directory::ShardIndexFor).
   std::uint32_t ShardForFile(FileId file) const {
-    std::uint64_t x = static_cast<std::uint64_t>(file) + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::uint32_t>(x & shard_mask_);
+    return static_cast<std::uint32_t>(SplitMix64(file).Next() & shard_mask_);
   }
 
   // Direct shard state access for the replay fast path (shard 0 is the only
@@ -167,6 +164,7 @@ class CacheEngine {
   }
 
   EngineOutcome LookupLocked(Shard& shard, ClientId client, BlockId block);
+  Micros AdmitLocked(Shard& shard, ClientId client, BlockId block);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint32_t shard_mask_ = 0;

@@ -111,9 +111,8 @@ struct SimulationConfig {
   Micros sample_interval = 0;
 
   // Bulk-allocation arena for the run's context (src/common/arena.h): when
-  // non-null, the per-client/server BlockCaches, the directory, and the
-  // known-blocks indexes draw their storage from it instead of the global
-  // heap. The arena must outlive the run and is NOT reset by the simulator —
+  // non-null, the per-client/server BlockCaches and the directory draw
+  // their storage from it instead of the global heap. The arena must outlive the run and is NOT reset by the simulator —
   // the owner resets it between runs. Not synchronized: concurrent runs
   // must each use their own arena (RunSimulationsParallel attaches one per
   // worker, replacing any set here), or null. Null (the default) keeps
@@ -126,7 +125,7 @@ struct SimulationConfig {
   // `seed`, so identical configs export identical bytes.
   MetricsDetail metrics_detail = MetricsDetail::kFull;
 
-  // Capacity hint for the replay hash indexes (directory, known-blocks).
+  // Capacity hint for the directory's block map and file lists.
   // 0 (the default) derives the hint from the aggregate cache capacity
   // (clients x client_cache_blocks + server_cache_blocks) so steady-state
   // replay runs rehash-free. Results are identical for any value — the

@@ -18,8 +18,6 @@
 #include "src/cache/block_cache.h"
 #include "src/cache/directory.h"
 #include "src/common/arena.h"
-#include "src/common/flat_hash_map.h"
-#include "src/common/inline_vec.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/model/server_load.h"
@@ -32,10 +30,6 @@ namespace coopfs {
 
 class SimContext {
  public:
-  // Known blocks of one file (learned from the trace). Spills past the
-  // inline capacity draw from the config's arena when one is attached.
-  using KnownBlockList = InlineVec<BlockId, 4>;
-
   // Directory shards resolved from the config (see config.h): explicit
   // counts are honored; 0 derives one shard per 16k clients, clamped to
   // [1, 64], so paper-scale runs keep the single-shard layout.
@@ -60,9 +54,7 @@ class SimContext {
         rng_(config.seed),
         tracer_(config.trace_recorder),
         sampler_(config.snapshot_sampler),
-        client_cache_blocks_(client_cache_blocks),
-        seen_blocks_(config.arena),
-        file_blocks_(config.arena) {
+        client_cache_blocks_(client_cache_blocks) {
     directory_.set_op_counter(&counters_.directory_ops);
     if (tracer_ != nullptr) {
       directory_.set_observer(tracer_);
@@ -79,21 +71,16 @@ class SimContext {
     for (std::uint32_t s = 0; s < servers; ++s) {
       server_caches_.push_back(MakeCache(server_cache_blocks / servers));
     }
-    // Pre-size the replay hash indexes so steady-state replay rarely (in
-    // practice never) rehashes. The directory tracks at most the aggregate
-    // client cache contents, but duplication and partially filled caches
-    // keep real occupancy well below that bound, so the derived default
-    // targets half of it: measured end-of-replay occupancy sits around a
-    // third of aggregate capacity, and a workload that does exceed the hint
-    // pays one amortized table growth, visible in the "flat_map/rehash"
-    // profiler span. An explicit hint is honored exactly.
+    // Pre-size the directory so steady-state replay rarely (in practice
+    // never) rehashes. The derived default is half the aggregate cache
+    // capacity; a workload that exceeds the hint pays one amortized table
+    // growth, visible in the "flat_map/rehash" profiler span. An explicit
+    // hint is honored exactly.
     const std::size_t reserve_blocks =
         config.index_reserve_blocks != 0
             ? config.index_reserve_blocks
             : (num_clients * client_cache_blocks + server_cache_blocks) / 2;
     directory_.Reserve(reserve_blocks, reserve_blocks / 8 + 1);
-    seen_blocks_.Reserve(reserve_blocks);
-    file_blocks_.Reserve(reserve_blocks / 8 + 1);
   }
 
   const SimulationConfig& config() const { return config_; }
@@ -259,36 +246,6 @@ class SimContext {
     }
   }
 
-  // ---- Known-blocks index ----
-  // The simulator has no file metadata beyond the trace, so it learns each
-  // file's blocks as they appear. Whole-file deletes and read-attribute
-  // refreshes iterate this index instead of scanning caches.
-  void NoteBlock(BlockId block) {
-    if (seen_blocks_.Insert(block.Pack())) {
-      file_blocks_[block.file].push_back(block, arena_);
-    }
-  }
-
-  // The reference is invalidated by the next NoteBlock/ForgetFile (flat-map
-  // storage) — consume before mutating.
-  const KnownBlockList& KnownBlocksOfFile(FileId file) const {
-    static const KnownBlockList kEmpty;
-    const KnownBlockList* blocks = file_blocks_.Find(file);
-    return blocks == nullptr ? kEmpty : *blocks;
-  }
-
-  // Forgets a deleted file's blocks (ids are never reused by the workloads).
-  void ForgetFile(FileId file) {
-    KnownBlockList* blocks = file_blocks_.Find(file);
-    if (blocks == nullptr) {
-      return;
-    }
-    for (const BlockId& block : *blocks) {
-      seen_blocks_.Erase(block.Pack());
-    }
-    file_blocks_.Erase(file);
-  }
-
  private:
   // Caches live either on the heap (no arena) or placement-constructed in
   // the arena, in which case the deleter runs the destructor but leaves the
@@ -329,9 +286,6 @@ class SimContext {
   SnapshotSampler* sampler_ = nullptr;
   std::size_t client_cache_blocks_ = 0;
   std::optional<std::uint8_t> client_victim_classes_;  // Max tracked count.
-
-  FlatHashSet<std::uint64_t> seen_blocks_;
-  FlatHashMap<FileId, KnownBlockList> file_blocks_;
 };
 
 }  // namespace coopfs

@@ -32,7 +32,10 @@ struct SimCounters {
   std::uint64_t invalidations = 0;
 
   // Server directory mutations: holder additions/removals and block erasures
-  // (the bookkeeping the paper's piggybacked updates amortize, §2.4).
+  // (the bookkeeping the paper's piggybacked updates amortize, §2.4). A
+  // whole-file delete erases every block the trace has referenced, cached
+  // by a client or not, so runs with zero-capacity client caches count
+  // their deletes too.
   std::uint64_t directory_ops = 0;
 
   friend bool operator==(const SimCounters&, const SimCounters&) = default;

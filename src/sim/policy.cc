@@ -113,7 +113,6 @@ void PolicyBase::InstallInServerCache(BlockId block) {
 }
 
 void PolicyBase::Write(ClientId client, BlockId block) {
-  ctx().NoteBlock(block);
   ctx().CountWrite();
   ctx().TraceWrite(client, block);
 
@@ -171,23 +170,20 @@ void PolicyBase::Delete(ClientId client, FileId file) {
   // Purge every cached copy of every known block of the file. Unflushed
   // dirty blocks die with it: their writes are absorbed (never reach disk —
   // the short-lived-file effect delayed writes exploit).
-  for (const BlockId& block : ctx().KnownBlocksOfFile(file)) {
-    const Directory::HolderList holders = ctx().directory().Holders(block);  // Copy.
+  ctx().directory().EraseFile(file, [this](BlockId block, const Directory::HolderList& holders) {
     for (ClientId holder : holders) {
-      if (const CacheEntry* entry = ctx().client_cache(holder).Find(block);
-          entry != nullptr && entry->dirty) {
+      BlockCache& cache = ctx().client_cache(holder);
+      if (const CacheEntry* entry = cache.Find(block); entry != nullptr && entry->dirty) {
         ctx().CountAbsorbedWrite();
       }
-      ctx().client_cache(holder).Erase(block);
+      cache.Erase(block);
       ctx().CountInvalidation();
       ctx().TraceInvalidation(block, holder, kNoClient);
       ctx().ChargeSmallMessages(1);
     }
-    ctx().directory().EraseBlock(block);
     ctx().server_cache_for(block).Erase(block);
     OnInvalidateExtra(block, kNoClient);
-  }
-  ctx().ForgetFile(file);
+  });
 }
 
 void PolicyBase::Reboot(ClientId client) {
@@ -217,7 +213,7 @@ void PolicyBase::Reboot(ClientId client) {
 
 void PolicyBase::ReadAttr(ClientId client, FileId file) {
   BlockCache& cache = ctx().client_cache(client);
-  for (const BlockId& block : ctx().KnownBlocksOfFile(file)) {
+  for (const BlockId& block : ctx().directory().KnownBlocks(file)) {
     if (CacheEntry* entry = cache.Touch(block); entry != nullptr) {
       entry->last_ref = ctx().now();
     }

@@ -1,9 +1,9 @@
 #include "src/cache/directory.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +12,11 @@ namespace coopfs {
 namespace {
 
 BlockId B(std::uint32_t file, std::uint32_t block = 0) { return BlockId{file, block}; }
+
+std::vector<BlockId> Known(const Directory& dir, FileId file) {
+  const Directory::FileBlockList& blocks = dir.KnownBlocks(file);
+  return {blocks.begin(), blocks.end()};
+}
 
 TEST(DirectoryTest, StartsEmpty) {
   Directory dir;
@@ -97,18 +102,23 @@ TEST(DirectoryTest, PickHolderCoversAllEligible) {
   }
 }
 
-TEST(DirectoryTest, BlocksOfFileTracksLiveBlocks) {
+TEST(DirectoryTest, KnownBlocksKeepFirstReferenceOrder) {
   Directory dir;
+  dir.NoteBlock(B(7, 2));
   dir.AddHolder(B(7, 0), 1);
-  dir.AddHolder(B(7, 1), 2);
   dir.AddHolder(B(8, 0), 1);
-  std::vector<BlockId> blocks = dir.BlocksOfFile(7);
-  std::sort(blocks.begin(), blocks.end());
-  EXPECT_EQ(blocks, (std::vector<BlockId>{B(7, 0), B(7, 1)}));
+  dir.NoteBlock(B(7, 1));
+  dir.AddHolder(B(7, 2), 2);  // Already known: keeps its place.
+  dir.NoteBlock(B(7, 0));
+  EXPECT_EQ(Known(dir, 7), (std::vector<BlockId>{B(7, 2), B(7, 0), B(7, 1)}));
+  EXPECT_EQ(Known(dir, 8), (std::vector<BlockId>{B(8, 0)}));
+  EXPECT_TRUE(Known(dir, 9).empty());
+  EXPECT_EQ(dir.HolderCount(B(7, 1)), 0u);  // Known, never held.
 
-  dir.RemoveHolder(B(7, 1), 2);
-  blocks = dir.BlocksOfFile(7);
-  EXPECT_EQ(blocks, (std::vector<BlockId>{B(7, 0)}));
+  // A block whose last holder left stays listed.
+  dir.RemoveHolder(B(7, 2), 2);
+  EXPECT_EQ(Known(dir, 7), (std::vector<BlockId>{B(7, 2), B(7, 0), B(7, 1)}));
+  EXPECT_EQ(dir.NumTrackedBlocks(), 4u);
 }
 
 TEST(DirectoryTest, ReAddingAfterEmptyDoesNotDuplicateFileIndex) {
@@ -116,17 +126,40 @@ TEST(DirectoryTest, ReAddingAfterEmptyDoesNotDuplicateFileIndex) {
   dir.AddHolder(B(7, 0), 1);
   dir.RemoveHolder(B(7, 0), 1);
   dir.AddHolder(B(7, 0), 2);
-  EXPECT_EQ(dir.BlocksOfFile(7).size(), 1u);
+  EXPECT_EQ(dir.KnownBlocks(7).size(), 1u);
 }
 
-TEST(DirectoryTest, EraseBlockDropsAllState) {
+TEST(DirectoryTest, EraseFileVisitsHoldersThenDropsAllState) {
   Directory dir;
-  dir.AddHolder(B(7, 0), 1);
-  dir.AddHolder(B(7, 0), 2);
-  dir.EraseBlock(B(7, 0));
-  EXPECT_EQ(dir.HolderCount(B(7, 0)), 0u);
-  EXPECT_TRUE(dir.BlocksOfFile(7).empty());
-  dir.EraseBlock(B(7, 0));  // Idempotent.
+  std::uint64_t ops = 0;
+  dir.set_op_counter(&ops);
+  dir.AddHolder(B(7, 1), 1);
+  dir.AddHolder(B(7, 1), 2);
+  dir.NoteBlock(B(7, 0));
+  dir.AddHolder(B(7, 3), 3);
+  dir.AddHolder(B(8, 0), 1);
+  ops = 0;
+
+  std::vector<std::pair<BlockId, std::size_t>> visited;
+  dir.EraseFile(7, [&](BlockId block, const Directory::HolderList& holders) {
+    // The block's record is still there while it is visited.
+    EXPECT_EQ(dir.HolderCount(block), holders.size());
+    visited.emplace_back(block, holders.size());
+  });
+  EXPECT_EQ(visited, (std::vector<std::pair<BlockId, std::size_t>>{
+                         {B(7, 1), 2}, {B(7, 0), 0}, {B(7, 3), 1}}));
+  EXPECT_EQ(ops, 3u);  // One erase per known block, held or not.
+  EXPECT_TRUE(Known(dir, 7).empty());
+  EXPECT_EQ(dir.HolderCount(B(7, 1)), 0u);
+  EXPECT_EQ(dir.NumTrackedBlocks(), 1u);
+
+  // The other file is intact.
+  EXPECT_EQ(Known(dir, 8), (std::vector<BlockId>{B(8, 0)}));
+  EXPECT_TRUE(dir.IsSingletHeldBy(B(8, 0), 1));
+
+  // Idempotent: nothing left to visit or count.
+  dir.EraseFile(7, [&](BlockId, const Directory::HolderList&) { ADD_FAILURE(); });
+  EXPECT_EQ(ops, 3u);
 }
 
 TEST(DirectoryTest, ForEachBlockSkipsEmptyHolderSets) {
@@ -168,18 +201,20 @@ TEST(DirectoryShardsTest, ShardedBehavesLikeUnsharded) {
   EXPECT_EQ(sharded.NumTrackedBlocks(), flat.NumTrackedBlocks());
   for (std::uint32_t file = 0; file < 50; ++file) {
     // File-keyed routing keeps a file's blocks in one shard, so the
-    // per-file view — the delete/invalidate iteration — is identical,
-    // order included.
-    EXPECT_EQ(sharded.BlocksOfFile(file), flat.BlocksOfFile(file)) << "file " << file;
+    // per-file view — the delete/refresh iteration — is identical, order
+    // included.
+    EXPECT_EQ(Known(sharded, file), Known(flat, file)) << "file " << file;
     for (std::uint32_t idx = 0; idx < 3; ++idx) {
       EXPECT_EQ(sharded.HolderCount(B(file, idx)), flat.HolderCount(B(file, idx)));
     }
   }
 
   // Erase and empty-set behaviour match too.
-  flat.EraseBlock(B(10, 1));
-  sharded.EraseBlock(B(10, 1));
-  EXPECT_EQ(sharded.BlocksOfFile(10), flat.BlocksOfFile(10));
+  const auto ignore = [](BlockId, const Directory::HolderList&) {};
+  flat.EraseFile(10, ignore);
+  sharded.EraseFile(10, ignore);
+  EXPECT_TRUE(Known(sharded, 10).empty());
+  EXPECT_EQ(Known(sharded, 11), Known(flat, 11));
   EXPECT_EQ(sharded.NumTrackedBlocks(), flat.NumTrackedBlocks());
 }
 
@@ -229,8 +264,10 @@ TEST_P(DirectoryProperty, MatchesReferenceModel) {
         reference[block.Pack()].erase(client);
         break;
       case 2:
-        dir.EraseBlock(block);
-        reference[block.Pack()].clear();
+        dir.EraseFile(block.file, [](BlockId, const Directory::HolderList&) {});
+        for (std::uint32_t idx = 0; idx < 4; ++idx) {
+          reference[BlockId{block.file, idx}.Pack()].clear();
+        }
         break;
     }
     ASSERT_EQ(dir.HolderCount(block), reference[block.Pack()].size());

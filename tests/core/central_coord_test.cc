@@ -114,6 +114,25 @@ TEST(CentralCoordTest, ZeroLocalFractionStillServesReads) {
   EXPECT_EQ(Level(*result, CacheLevel::kServerMemory), 1u);  // Second read.
 }
 
+TEST(CentralCoordTest, ZeroLocalFractionDeletePurgesServerAndGlobalCopies) {
+  // No client ever holds a block, so only the directory's known-block
+  // lists (not its holder lists) can reach these copies on delete.
+  TraceBuilder builder;
+  builder.Read(0, 1, 0)    // Disk; server = {f1}.
+      .Read(0, 2, 0)       // Disk; server = {f2}; global gains f1.
+      .Delete(1, 1)        // Must purge the global f1.
+      .Delete(1, 2)        // Must purge the server's f2.
+      .Read(0, 1, 0)       // Disk.
+      .Read(0, 2, 0);      // Disk.
+  Simulator simulator(TinyConfig(4, 1, 2), &builder.Build());
+  CentralCoordPolicy policy(1.0);
+  const auto result = simulator.Run(policy);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Level(*result, CacheLevel::kServerDisk), 4u);
+  // One record erased per known block, held or not.
+  EXPECT_EQ(result->counters.directory_ops, 2u);
+}
+
 TEST(BestCaseTest, DoublesClientMemory) {
   BestCasePolicy policy;
   SimulationConfig config = TinyConfig(10, 4);

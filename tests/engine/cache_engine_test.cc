@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/core/policy_factory.h"
 #include "src/sim/validation.h"
@@ -154,6 +155,12 @@ TEST(CacheEngineTest, ShardRoutingIsStableAndInRange) {
     const std::uint32_t shard = engine.ShardForFile(file);
     EXPECT_LT(shard, engine.num_shards());
     EXPECT_EQ(shard, engine.ShardForFile(file)) << "routing must be deterministic";
+  }
+  // Pinned: SplitMix64(file).Next() & 7. A change here reshuffles every
+  // sharded engine's files.
+  const std::vector<std::uint32_t> pinned = {7, 1, 6, 5, 2, 2, 0, 7, 6, 4, 2, 5};
+  for (FileId file = 0; file < pinned.size(); ++file) {
+    EXPECT_EQ(engine.ShardForFile(file), pinned[file]) << "file " << file;
   }
 }
 

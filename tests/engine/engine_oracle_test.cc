@@ -49,7 +49,7 @@ SimulationResult LegacyReplay(const SimulationConfig& config, const Trace& trace
     policy.Tick();
     switch (event.type) {
       case EventType::kRead: {
-        context.NoteBlock(event.block);
+        context.directory().NoteBlock(event.block);
         const ReadOutcome outcome = policy.Read(event.client, event.block);
         const Micros latency = OutcomeLatency(outcome, config);
         if (context.accounting()) {
@@ -65,6 +65,7 @@ SimulationResult LegacyReplay(const SimulationConfig& config, const Trace& trace
         break;
       }
       case EventType::kWrite:
+        context.directory().NoteBlock(event.block);
         policy.Write(event.client, event.block);
         break;
       case EventType::kDelete:

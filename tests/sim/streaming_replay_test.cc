@@ -11,9 +11,10 @@
 //
 //   2. The directory's shard count is a pure layout choice: replaying with
 //      1, 8, or 64 shards must also be byte-identical. Shards are routed by
-//      file id, so per-file iteration order (BlocksOfFile — the
-//      delete/invalidate path) is unchanged by construction; this test holds
-//      the line end to end, reboots and N-Chance forwarding included.
+//      file id, so per-file iteration order (KnownBlocks and EraseFile —
+//      the attribute-refresh and delete paths) is unchanged by construction;
+//      this test holds the line end to end, reboots and N-Chance forwarding
+//      included.
 #include <memory>
 #include <string>
 
