@@ -63,9 +63,14 @@ Status CheckVictimClasses(const BlockCache& cache, ClientId c) {
 }  // namespace
 
 Status CheckCacheDirectoryConsistency(SimContext& context) {
-  // Caches -> directory, capacity, and N-Chance metadata.
+  // Caches -> directory, capacity, and N-Chance metadata. A client that
+  // never issued an access has no cache yet, and checking never builds one.
   for (std::uint32_t c = 0; c < context.num_clients(); ++c) {
-    BlockCache& cache = context.client_cache(c);
+    const BlockCache* materialized = context.client_cache_if_materialized(c);
+    if (materialized == nullptr) {
+      continue;
+    }
+    const BlockCache& cache = *materialized;
     if (cache.size() > cache.capacity()) {
       return Status::Internal("client " + std::to_string(c) + " over capacity: " +
                               std::to_string(cache.size()) + " > " +
@@ -112,7 +117,8 @@ Status CheckCacheDirectoryConsistency(SimContext& context) {
         status = Status::Internal("directory holder out of range for " + block.ToString());
         return;
       }
-      if (!context.client_cache(holder).Contains(block)) {
+      const BlockCache* cache = context.client_cache_if_materialized(holder);
+      if (cache == nullptr || !cache->Contains(block)) {
         status = Status::Internal("directory says client " + std::to_string(holder) +
                                   " caches " + block.ToString() + " but it does not");
         return;

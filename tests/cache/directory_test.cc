@@ -174,6 +174,13 @@ TEST(DirectoryTest, ForEachBlockSkipsEmptyHolderSets) {
     ++visited;
   });
   EXPECT_EQ(visited, 1);
+  // The emptied block keeps its record, so both maps still hold two keys.
+  EXPECT_EQ(dir.HoldersIndexStats().size, 2u);
+  EXPECT_EQ(dir.FileIndexStats().size, 2u);
+  EXPECT_GT(dir.HoldersIndexStats().buckets, 0u);
+  const Directory::DuplicationCounts counts = dir.CountDuplication();
+  EXPECT_EQ(counts.singlets, 1u);
+  EXPECT_EQ(counts.duplicates, 0u);
 }
 
 // ---- sharded mode (scale-out layout; see the header comment) ----

@@ -26,6 +26,7 @@ TEST(ValidationTest, ConsistentStatePasses) {
   context.client_cache(0).Insert(BlockId{1, 0});
   context.directory().AddHolder(BlockId{1, 0}, 0);
   EXPECT_TRUE(CheckCacheDirectoryConsistency(context).ok());
+  EXPECT_EQ(context.client_cache_if_materialized(1), nullptr);  // Checking built no cache.
 }
 
 TEST(ValidationTest, DetectsCachedButUntracked) {
