@@ -23,6 +23,9 @@
 // SplitMix64 and the reservoir draws from the repo's Rng, so identical
 // replays produce identical summaries regardless of wall clock or thread
 // count. None of them allocates after construction.
+//
+// Exact quantiles come from QuantileFromSorted over one ascending sample, or
+// QuantileFromSortedRuns over several ascending runs without merging them.
 #ifndef COOPFS_SRC_COMMON_SKETCH_H_
 #define COOPFS_SRC_COMMON_SKETCH_H_
 
@@ -30,6 +33,8 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/flat_hash_map.h"
@@ -318,17 +323,113 @@ class ReservoirSampler {
   Rng rng_;
 };
 
-// Linear-interpolated quantile of an ascending sample; 0 when empty.
-inline double QuantileFromSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
+namespace sketch_internal {
+
+// Linear-interpolated quantile of an ascending sample of `size` values, read
+// through value_at(rank); 0 when empty.
+template <typename ValueAt>
+double InterpolatedQuantile(std::size_t size, double q, const ValueAt& value_at) {
+  if (size == 0) {
     return 0.0;
   }
   q = std::clamp(q, 0.0, 1.0);
-  const double position = q * static_cast<double>(sorted.size() - 1);
+  const double position = q * static_cast<double>(size - 1);
   const auto lo = static_cast<std::size_t>(position);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, size - 1);
   const double frac = position - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const double lo_value = value_at(lo);
+  return lo_value + frac * (value_at(hi) - lo_value);
+}
+
+// The value of 0-based rank `rank` in the ascending union of `runs`, each
+// ascending, without building the union; rank < the runs' total size.
+//
+// Each run keeps a window [lo, hi) that may still hold the answer: what lies
+// before lo is below it and what lies from hi on is above it, so `rank`
+// stays a rank in the whole union. Each step picks the weighted median of
+// the windows' middle values as the pivot and counts, one binary search per
+// run, the values below it and those at most it. Either the pivot is the
+// answer or a quarter or more of the windows' values leave them, so a step
+// costs O(runs x log n) and there are O(log n) steps.
+inline double ValueAtRank(std::span<const std::span<const double>> runs, std::size_t rank) {
+  struct Window {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    std::size_t below = 0;    // Values < pivot in the run.
+    std::size_t through = 0;  // Values <= pivot in the run.
+  };
+  std::vector<Window> windows(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    windows[i].hi = runs[i].size();
+  }
+  std::vector<std::pair<double, std::size_t>> middles;  // (middle value, window size)
+  middles.reserve(runs.size());
+  for (;;) {
+    middles.clear();
+    std::size_t remaining = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const Window& window = windows[i];
+      if (window.lo < window.hi) {
+        middles.emplace_back(runs[i][window.lo + (window.hi - window.lo) / 2],
+                             window.hi - window.lo);
+        remaining += window.hi - window.lo;
+      }
+    }
+    assert(remaining > 0 && "rank out of range");
+    std::sort(middles.begin(), middles.end());
+    double pivot = middles.back().first;
+    std::size_t weight = 0;
+    for (const auto& [value, size] : middles) {
+      weight += size;
+      if (2 * weight >= remaining) {
+        pivot = value;
+        break;
+      }
+    }
+    std::size_t below = 0;
+    std::size_t through = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      Window& window = windows[i];
+      const double* first = runs[i].data();
+      const double* lower = std::lower_bound(first + window.lo, first + window.hi, pivot);
+      window.below = static_cast<std::size_t>(lower - first);
+      window.through =
+          static_cast<std::size_t>(std::upper_bound(lower, first + window.hi, pivot) - first);
+      below += window.below;
+      through += window.through;
+    }
+    if (rank >= below && rank < through) {
+      return pivot;
+    }
+    for (Window& window : windows) {
+      if (rank < below) {
+        window.hi = window.below;
+      } else {
+        window.lo = window.through;
+      }
+    }
+  }
+}
+
+}  // namespace sketch_internal
+
+// Linear-interpolated quantile of an ascending sample; 0 when empty.
+inline double QuantileFromSorted(const std::vector<double>& sorted, double q) {
+  return sketch_internal::InterpolatedQuantile(
+      sorted.size(), q, [&sorted](std::size_t rank) { return sorted[rank]; });
+}
+
+// QuantileFromSorted over the ascending union of `runs`, each ascending,
+// without building the union: the values at the same ranks, found by rank
+// selection across the runs, and the same interpolation, so the same double
+// bit for bit. 0 when every run is empty.
+inline double QuantileFromSortedRuns(std::span<const std::span<const double>> runs, double q) {
+  std::size_t size = 0;
+  for (const std::span<const double> run : runs) {
+    size += run.size();
+  }
+  return sketch_internal::InterpolatedQuantile(
+      size, q, [runs](std::size_t rank) { return sketch_internal::ValueAtRank(runs, rank); });
 }
 
 // Gini coefficient of an ascending non-negative sample: 0 = perfectly

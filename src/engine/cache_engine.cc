@@ -60,6 +60,9 @@ CacheEngine::CacheEngine(const SimulationConfig& config, std::uint32_t num_clien
     // Distinct per-shard seed (SplitMix64 increment) so policies' random
     // choices decorrelate across shards.
     shard_config->seed = config.seed + 0x9e3779b97f4a7c15ull * (s + 1);
+    // Engine shards already split files by the hash a sharded Directory
+    // would route them by, so one directory shard per engine shard.
+    shard_config->directory_shards = 1;
     // These attachments are documented as unsynchronized (config.h); a
     // multi-threaded engine must not share them across shards.
     shard_config->trace_recorder = nullptr;

@@ -5,7 +5,7 @@
 #include <barrier>
 #include <chrono>
 #include <cstdio>
-#include <iterator>
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -39,15 +39,20 @@ constexpr std::uint64_t kRoundRequests = 4'096;
 // hold a thread's shards.
 constexpr std::uint32_t kMaxShards = 64;
 
-// Sample class of a put; a get's class is the CacheLevel that satisfied it.
+// Sample classes: a get's class is the CacheLevel that satisfied it, and
+// puts come last.
 constexpr std::size_t kPutClass = kNumCacheLevels;
+constexpr std::size_t kNumSampleClasses = kPutClass + 1;
 
 // One storm thread's counted latencies by sample class, padded to its own
 // cache line(s) like the sweep's result slots: the threads append
 // concurrently, and unpadded slots would put several vector headers on one
-// line, bouncing it between cores on every push.
+// line, bouncing it between cores on every push. After its last request the
+// thread sorts each class and sums it, and records when that request ended.
 struct alignas(64) PaddedSampleSlot {
-  std::array<std::vector<double>, kNumCacheLevels + 1> samples;
+  std::array<std::vector<double>, kNumSampleClasses> samples;
+  std::array<double, kNumSampleClasses> sums{};
+  std::chrono::steady_clock::time_point last_request{};
 };
 
 // One request drawn from the configured key mix.
@@ -152,47 +157,37 @@ class RequestStream {
   std::size_t pool_cursor_ = 0;
 };
 
-// Statistics of an ascending sample.
-BenchLatency SortedStats(const std::vector<double>& sorted) {
+// Statistics of sample classes [first, last) over every thread: the
+// quantiles are read from the threads' sorted runs, the extremes from the
+// runs' ends, and the mean from the threads' sums.
+BenchLatency ClassStats(const std::vector<PaddedSampleSlot>& slots, std::size_t first,
+                        std::size_t last) {
+  std::vector<std::span<const double>> runs;
+  double sum = 0.0;
   BenchLatency stats;
-  stats.count = sorted.size();
-  if (sorted.empty()) {
+  for (const PaddedSampleSlot& slot : slots) {
+    for (std::size_t sample_class = first; sample_class < last; ++sample_class) {
+      const std::vector<double>& run = slot.samples[sample_class];
+      sum += slot.sums[sample_class];
+      if (run.empty()) {
+        continue;
+      }
+      stats.min_us = stats.count == 0 ? run.front() : std::min(stats.min_us, run.front());
+      stats.max_us = stats.count == 0 ? run.back() : std::max(stats.max_us, run.back());
+      stats.count += run.size();
+      runs.emplace_back(run);
+    }
+  }
+  if (stats.count == 0) {
     return stats;
   }
-  stats.p50_us = QuantileFromSorted(sorted, 0.50);
-  stats.p90_us = QuantileFromSorted(sorted, 0.90);
-  stats.p95_us = QuantileFromSorted(sorted, 0.95);
-  stats.p99_us = QuantileFromSorted(sorted, 0.99);
-  stats.p999_us = QuantileFromSorted(sorted, 0.999);
-  stats.mean_us = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
-                  static_cast<double>(sorted.size());
-  stats.min_us = sorted.front();
-  stats.max_us = sorted.back();
+  stats.p50_us = QuantileFromSortedRuns(runs, 0.50);
+  stats.p90_us = QuantileFromSortedRuns(runs, 0.90);
+  stats.p95_us = QuantileFromSortedRuns(runs, 0.95);
+  stats.p99_us = QuantileFromSortedRuns(runs, 0.99);
+  stats.p999_us = QuantileFromSortedRuns(runs, 0.999);
+  stats.mean_us = sum / static_cast<double>(stats.count);
   return stats;
-}
-
-// Moves one sample class out of every thread's slot into one sorted vector.
-std::vector<double> TakeSorted(std::vector<PaddedSampleSlot>& slots,
-                               std::size_t sample_class) {
-  std::size_t count = 0;
-  for (const PaddedSampleSlot& slot : slots) {
-    count += slot.samples[sample_class].size();
-  }
-  std::vector<double> sorted;
-  sorted.reserve(count);
-  for (PaddedSampleSlot& slot : slots) {
-    const std::vector<double> part = std::move(slot.samples[sample_class]);
-    sorted.insert(sorted.end(), part.begin(), part.end());
-  }
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
-}
-
-std::vector<double> MergeSorted(const std::vector<double>& a, const std::vector<double>& b) {
-  std::vector<double> merged;
-  merged.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(merged));
-  return merged;
 }
 
 std::uint32_t ResolveShards(const ServeOptions& options) {
@@ -374,6 +369,9 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   // requests and sets their simulated time. The barrier's completion step
   // gives this round's shards to threads; each thread then runs its shards'
   // requests in seq order, so no two threads ever run one shard at once.
+  // After its last request a thread sorts its samples, waits on the latch
+  // until every thread has run its last request, and checks shards t,
+  // t + threads, ... .
   const std::uint32_t shard_count = engine.num_shards();
   const std::uint64_t rounds =
       (warmup_budget[0] + counted_budget[0] + kRoundRequests - 1) / kRoundRequests;
@@ -383,6 +381,8 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   std::barrier handoff(static_cast<std::ptrdiff_t>(threads), [&]() noexcept {
     AssignShardsLongestFirst(batches, shard_count, owned);
   });
+  std::latch requests_done(static_cast<std::ptrdiff_t>(threads));
+  std::vector<Status> shard_status(shard_count);
 
   const auto storm_start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
@@ -452,12 +452,27 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
           }
         }
       }
+      slot.last_request = std::chrono::steady_clock::now();
+      for (std::size_t sample_class = 0; sample_class < kNumSampleClasses; ++sample_class) {
+        std::vector<double>& samples = slot.samples[sample_class];
+        std::sort(samples.begin(), samples.end());
+        slot.sums[sample_class] = std::accumulate(samples.begin(), samples.end(), 0.0);
+      }
+      // Once every thread is past its last request the engine is quiescent,
+      // so each shard can be read without its lock.
+      requests_done.arrive_and_wait();
+      for (std::uint32_t shard = t; shard < shard_count; shard += threads) {
+        shard_status[shard] = CheckCacheDirectoryConsistency(engine.context(shard));
+      }
     });
   }
   for (std::thread& worker : workers) {
     worker.join();
   }
-  const auto storm_end = std::chrono::steady_clock::now();
+  auto storm_end = storm_start;
+  for (const PaddedSampleSlot& slot : slots) {
+    storm_end = std::max(storm_end, slot.last_request);
+  }
 
   ServeReport report;
   report.policy_name = PolicyKindName(options.policy);
@@ -468,18 +483,13 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   report.wall_seconds =
       std::chrono::duration<double>(storm_end - storm_start).count();
 
-  // Each class is sorted once; the aggregates merge the sorted classes.
-  std::vector<double> gets;
   for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
-    const std::vector<double> samples = TakeSorted(slots, level);
-    report.get_level_counts[level] = samples.size();
-    report.get_levels[level] = SortedStats(samples);
-    gets = MergeSorted(gets, samples);
+    report.get_levels[level] = ClassStats(slots, level, level + 1);
+    report.get_level_counts[level] = report.get_levels[level].count;
   }
-  const std::vector<double> puts = TakeSorted(slots, kPutClass);
-  report.gets = SortedStats(gets);
-  report.puts = SortedStats(puts);
-  report.total = SortedStats(MergeSorted(gets, puts));
+  report.gets = ClassStats(slots, 0, kNumCacheLevels);
+  report.puts = ClassStats(slots, kPutClass, kPutClass + 1);
+  report.total = ClassStats(slots, 0, kNumSampleClasses);
   report.get_ops = report.gets.count;
   report.put_ops = report.puts.count;
   report.ops = report.total.count;
@@ -487,15 +497,12 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
                            ? static_cast<double>(report.ops) / report.wall_seconds
                            : 0.0;
 
-  // The threads have joined: the engine is quiescent, so unsynchronized
-  // per-shard state access is safe.
   report.consistent = true;
-  for (std::uint32_t shard = 0; shard < engine.num_shards(); ++shard) {
-    const Status status = CheckCacheDirectoryConsistency(engine.context(shard));
-    if (!status.ok()) {
+  for (std::uint32_t shard = 0; shard < shard_count; ++shard) {
+    if (!shard_status[shard].ok()) {
       report.consistent = false;
       report.consistency_error =
-          "shard " + std::to_string(shard) + ": " + status.message();
+          "shard " + std::to_string(shard) + ": " + shard_status[shard].message();
       break;
     }
   }

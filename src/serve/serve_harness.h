@@ -18,9 +18,13 @@
 // seq x 50 us is a request's simulated time, so no shared counter is needed.
 //
 // Each thread records its counted completions in its own cache-line-padded
-// slot (one sample vector per cache level for gets, one for puts); once the
-// threads have joined, RunServe merges the slots into per-level latency
-// distributions. The storm threads are the only threads.
+// slot (one sample vector per cache level for gets, one for puts). After its
+// last request each thread sorts its own samples; once every thread has run
+// its last request, each checks its share of the shards (shards t,
+// t + client_threads, ...). After the join, RunServe reads every quantile
+// from the threads' sorted runs by rank selection (QuantileFromSortedRuns);
+// no merged copy of the samples is built. The storm threads are the only
+// threads.
 //
 // Latency methodology (docs/serving.md): each completed operation is charged
 //
@@ -34,8 +38,8 @@
 // so the reported p50/p95/p99/p999 per level (local / remote-client /
 // server-memory / disk) combine the paper's technology model with the real
 // cost of the serving structures. Throughput is counted (post-warm-up) ops
-// divided by the whole storm's wall time, warm-up included
-// (ServeReport::wall_seconds).
+// divided by the storm's wall time, warm-up included, up to the latest
+// thread's last request (ServeReport::wall_seconds).
 //
 // The key mix is configurable: a Zipf-skewed synthetic key space, or a
 // trace-derived mix replayed from the deterministic Sprite-like workload
@@ -120,12 +124,17 @@ struct ServeReport {
   std::uint64_t ops = 0;  // Counted requests (get_ops + put_ops).
   std::uint64_t get_ops = 0;
   std::uint64_t put_ops = 0;
-  double wall_seconds = 0.0;  // Storm wall time, warm-up included.
+  // Storm wall time, warm-up included: from the threads' start to the end of
+  // the latest thread's last request. The sorting, the invariant check and
+  // the statistics after it are not included.
+  double wall_seconds = 0.0;
   double ops_per_sec = 0.0;   // Counted ops / wall_seconds.
 
   // Gets by satisfying level (paper Figures 4-5 levels), with latency
   // distributions per level and aggregated, in modeled+measured
-  // microseconds. Quantiles are exact (computed from all counted samples).
+  // microseconds. Quantiles are exact: QuantileFromSortedRuns over the
+  // threads' sorted samples gives the same value as QuantileFromSorted over
+  // all counted samples of the series. The mean sums per-thread sums.
   std::array<std::uint64_t, kNumCacheLevels> get_level_counts{};
   std::array<BenchLatency, kNumCacheLevels> get_levels{};
   BenchLatency gets;
@@ -133,8 +142,10 @@ struct ServeReport {
   BenchLatency total;
 
   // Post-drain invariant check: CheckCacheDirectoryConsistency over every
-  // shard once the threads have joined (no lost blocks, directory and
-  // holder state agree, capacities respected).
+  // shard once every thread has run its last request, each thread checking
+  // its share of the shards (no lost blocks, directory and holder state
+  // agree, capacities respected). consistency_error names the
+  // lowest-numbered failing shard.
   bool consistent = false;
   std::string consistency_error;
 

@@ -1,11 +1,13 @@
 // Tests for the bounded-memory streaming primitives (src/common/sketch.h):
 // count-min one-sided error, Space-Saving exactness and heavy-hitter
-// recovery, reservoir quantiles, and the quantile/Gini helpers.
+// recovery, reservoir quantiles, and the quantile/Gini helpers, including
+// quantiles read across sorted runs.
 #include "src/common/sketch.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -300,6 +302,46 @@ TEST(QuantileFromSortedTest, P999ResolvesOnLargeAndSmallSamples) {
   const std::vector<double> small{1.0, 2.0, 3.0};
   EXPECT_GE(QuantileFromSorted(small, 0.999), 2.0);
   EXPECT_LE(QuantileFromSorted(small, 0.999), 3.0);
+}
+
+// QuantileFromSortedRuns must equal QuantileFromSorted over the merged
+// sample bit for bit, over runs with heavy ties and empty runs mixed in.
+TEST(QuantileFromSortedRunsTest, MatchesQuantileOfTheMergedSample) {
+  const std::vector<double> qs{0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0};
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::vector<double>> runs(1 + rng.NextBelow(15));
+    // A few distinct values per trial, so most samples tie with others.
+    const std::uint64_t distinct = 1 + rng.NextBelow(trial % 3 == 0 ? 4 : 40);
+    const std::uint64_t max_size = trial % 10 == 0 ? 5'000 : 300;
+    std::vector<double> merged;
+    for (std::vector<double>& run : runs) {
+      const std::uint64_t size = rng.NextBelow(3) == 0 ? 0 : rng.NextBelow(max_size);
+      for (std::uint64_t i = 0; i < size; ++i) {
+        run.push_back(250.0 + 0.1 * static_cast<double>(rng.NextBelow(distinct)));
+      }
+      std::sort(run.begin(), run.end());
+      merged.insert(merged.end(), run.begin(), run.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    const std::vector<std::span<const double>> spans(runs.begin(), runs.end());
+    for (const double q : qs) {
+      EXPECT_EQ(QuantileFromSortedRuns(spans, q), QuantileFromSorted(merged, q))
+          << "trial " << trial << ", q " << q;
+    }
+  }
+}
+
+TEST(QuantileFromSortedRunsTest, OneElementAndEmptyTotals) {
+  const std::vector<double> empty;
+  const std::vector<double> one{7.5};
+  const std::vector<std::span<const double>> single{empty, one, empty};
+  const std::vector<std::span<const double>> none{empty, empty};
+  for (const double q : {0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(QuantileFromSortedRuns(single, q), QuantileFromSorted(one, q));
+    EXPECT_EQ(QuantileFromSortedRuns(none, q), 0.0);
+    EXPECT_EQ(QuantileFromSortedRuns({}, q), QuantileFromSorted(empty, q));
+  }
 }
 
 TEST(GiniFromSortedTest, KnownValues) {

@@ -147,6 +147,20 @@ TEST(CacheEngineTest, ShardedConstructionRoundsUpAndSplitsCapacity) {
   EXPECT_EQ(seeds.size(), engine.num_shards()) << "per-shard seeds must differ";
 }
 
+// Above 16,384 clients a SimContext shards its Directory by the same file
+// hash the engine routes by, so each engine shard's files would reach only
+// some of its directory shards; the engine keeps one per engine shard.
+TEST(CacheEngineTest, ShardedEngineKeepsOneDirectoryShardPerEngineShard) {
+  SimulationConfig config = SmallConfig();
+  config.num_clients = 40'000;
+  CacheEngine engine(config, config.num_clients,
+                     [] { return MakePolicy(PolicyKind::kNChance); }, 2);
+  ASSERT_EQ(engine.num_shards(), 2u);
+  for (std::uint32_t shard = 0; shard < engine.num_shards(); ++shard) {
+    EXPECT_EQ(engine.context(shard).directory().num_shards(), 1u) << "shard " << shard;
+  }
+}
+
 TEST(CacheEngineTest, ShardRoutingIsStableAndInRange) {
   const SimulationConfig config = SmallConfig();
   CacheEngine engine(config, config.num_clients,

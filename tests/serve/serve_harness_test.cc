@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -58,29 +59,58 @@ void ExpectUnionOf(const BenchLatency& all, const std::vector<BenchLatency>& par
   EXPECT_NEAR(all.mean_us, mean_us, 1e-9 * std::abs(mean_us));
 }
 
+// Expects the quantiles of `stats` in order between its extremes.
+void ExpectOrderedQuantiles(const BenchLatency& stats) {
+  EXPECT_LE(stats.min_us, stats.p50_us);
+  EXPECT_LE(stats.p50_us, stats.p90_us);
+  EXPECT_LE(stats.p90_us, stats.p95_us);
+  EXPECT_LE(stats.p95_us, stats.p99_us);
+  EXPECT_LE(stats.p99_us, stats.p999_us);
+  EXPECT_LE(stats.p999_us, stats.max_us);
+}
+
+// 2 threads on 2 derived shards, and 3 threads on 4: there one thread
+// checks two shards, and the threads run their last requests at different
+// times.
 TEST(ServeHarnessTest, CountsConserveAndLevelsSum) {
-  const ServeOptions options = SmallOptions();
-  Result<ServeReport> report = RunServe(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const std::uint32_t threads : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ServeOptions options = SmallOptions();
+    options.client_threads = threads;
+    const auto call_start = std::chrono::steady_clock::now();
+    Result<ServeReport> report = RunServe(options);
+    const double call_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - call_start).count();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  EXPECT_EQ(report->ops, options.ops);
-  EXPECT_EQ(report->get_ops + report->put_ops, report->ops);
-  std::uint64_t level_sum = 0;
-  for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
-    level_sum += report->get_level_counts[level];
-    EXPECT_EQ(report->get_level_counts[level], report->get_levels[level].count);
+    EXPECT_EQ(report->ops, options.ops);
+    EXPECT_EQ(report->get_ops + report->put_ops, report->ops);
+    std::uint64_t level_sum = 0;
+    for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
+      level_sum += report->get_level_counts[level];
+      EXPECT_EQ(report->get_level_counts[level], report->get_levels[level].count);
+    }
+    EXPECT_EQ(level_sum, report->get_ops);
+    EXPECT_TRUE(report->consistent);
+    EXPECT_GT(report->ops_per_sec, 0.0);
+    EXPECT_EQ(report->client_threads, threads);
+    EXPECT_EQ(report->shards, threads == 2 ? 2u : 4u);  // Derived: pow2 >= threads.
+    EXPECT_GT(report->wall_seconds, 0.0);
+    EXPECT_LE(report->wall_seconds, call_seconds);
+
+    // The aggregates are unions: all gets of the four levels, total of gets
+    // and puts.
+    ExpectUnionOf(report->gets, std::vector<BenchLatency>(report->get_levels.begin(),
+                                                          report->get_levels.end()));
+    ExpectUnionOf(report->total, {report->gets, report->puts});
+    for (std::size_t level = 0; level < kNumCacheLevels; ++level) {
+      SCOPED_TRACE(CacheLevelName(static_cast<CacheLevel>(level)));
+      ExpectOrderedQuantiles(report->get_levels[level]);
+    }
+    ExpectOrderedQuantiles(report->gets);
+    ExpectOrderedQuantiles(report->puts);
+    ExpectOrderedQuantiles(report->total);
   }
-  EXPECT_EQ(level_sum, report->get_ops);
-  EXPECT_TRUE(report->consistent);
-  EXPECT_GT(report->ops_per_sec, 0.0);
-  EXPECT_EQ(report->client_threads, 2u);
-  EXPECT_EQ(report->shards, 2u);  // Derived: pow2 >= threads.
-
-  // The aggregates are unions: all gets of the four levels, total of gets
-  // and puts.
-  ExpectUnionOf(report->gets,
-                std::vector<BenchLatency>(report->get_levels.begin(), report->get_levels.end()));
-  ExpectUnionOf(report->total, {report->gets, report->puts});
 }
 
 TEST(ServeHarnessTest, ModeledLatenciesDominateEachLevel) {
