@@ -56,8 +56,8 @@ std::uint64_t StateSample::CountedReads() const {
 
 double StateSample::CountedTimeUs() const {
   double total = 0.0;
-  for (double time : level_time_us) {
-    total += time;
+  for (double level_time : level_time_us) {
+    total += level_time;
   }
   return total;
 }

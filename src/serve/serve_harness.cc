@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <barrier>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
-#include <latch>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <span>
 #include <thread>
@@ -29,14 +29,18 @@ namespace {
 // simulated storm on the same time scale as replayed traces.
 constexpr Micros kSeqSpacingUs = 50;
 
-// Requests each thread draws per round: long enough that the barrier is
-// rare, short enough that the batches stay small (two rounds of 24-byte
-// entries per thread). On a 4-vCPU VM a 3-thread storm ran as fast with
-// 4,096 as with 16,384, and about 8% slower with 512.
+// Requests each stream draws per round. A round is the unit of every storm
+// task: one stream's draw, or one shard's run of every stream's draws. It is
+// long enough that the scheduler's mutex is rare (about 500 claims for
+// 880,000 requests on 3 threads and 4 shards) and short enough that the
+// round buffers stay small (24-byte entries).
 constexpr std::uint64_t kRoundRequests = 4'096;
 
-// Shard-count cap, as the derived count uses; it also lets one 64-bit mask
-// hold a thread's shards.
+// Round buffers per stream: streams may draw up to this many rounds ahead
+// of the shard with the fewest finished rounds.
+constexpr std::uint64_t kRoundBuffers = 4;
+
+// Shard-count cap, as the derived count uses.
 constexpr std::uint32_t kMaxShards = 64;
 
 // Sample classes: a get's class is the CacheLevel that satisfied it, and
@@ -47,8 +51,9 @@ constexpr std::size_t kNumSampleClasses = kPutClass + 1;
 // One storm thread's counted latencies by sample class, padded to its own
 // cache line(s) like the sweep's result slots: the threads append
 // concurrently, and unpadded slots would put several vector headers on one
-// line, bouncing it between cores on every push. After its last request the
-// thread sorts each class and sums it, and records when that request ended.
+// line, bouncing it between cores on every push. After the storm the thread
+// sorts each class and sums it. last_request is when the thread's latest
+// shard-round ended.
 struct alignas(64) PaddedSampleSlot {
   std::array<std::vector<double>, kNumSampleClasses> samples;
   std::array<double, kNumSampleClasses> sums{};
@@ -62,51 +67,14 @@ struct Request {
   bool is_get = true;
 };
 
-// A drawn request, tagged for its shard's owner.
+// A drawn request, tagged with its shard.
 struct Drawn {
   Request request;
   std::uint32_t shard = 0;
-  bool counted = false;  // Past its drawing thread's warm-up budget.
+  bool counted = false;  // Past its stream's warm-up budget.
 };
 
-// One thread's draws, double-buffered by round parity: owners run round r
-// from one buffer while threads done with round r draw round r + 1 into the
-// other. shard_counts counts the latest round's draws per shard for the
-// barrier's assignment step. Padded like the sample slots.
-struct alignas(64) PaddedBatch {
-  std::array<std::vector<Drawn>, 2> drawn;
-  std::array<std::uint64_t, kMaxShards> shard_counts{};
-};
-
-// Gives whole shards to threads longest-first: shards in decreasing order of
-// this round's requests (ties to the lower shard), each to the thread with
-// the fewest requests so far (ties to the lower thread). owned[t] becomes
-// thread t's shard mask.
-void AssignShardsLongestFirst(const std::vector<PaddedBatch>& batches, std::uint32_t shards,
-                              std::vector<std::uint64_t>& owned) {
-  std::array<std::uint64_t, kMaxShards> requests{};
-  for (const PaddedBatch& batch : batches) {
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      requests[s] += batch.shard_counts[s];
-    }
-  }
-  std::array<std::uint32_t, kMaxShards> order{};
-  std::iota(order.begin(), order.begin() + shards, 0u);
-  std::sort(order.begin(), order.begin() + shards, [&](std::uint32_t a, std::uint32_t b) {
-    return requests[a] != requests[b] ? requests[a] > requests[b] : a < b;
-  });
-  std::fill(owned.begin(), owned.end(), 0);
-  std::vector<std::uint64_t> load(owned.size(), 0);
-  for (std::uint32_t i = 0; i < shards && requests[order[i]] > 0; ++i) {
-    const std::uint32_t shard = order[i];
-    const auto owner = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    owned[owner] |= std::uint64_t{1} << shard;
-    load[owner] += requests[shard];
-  }
-}
-
-// Per-thread request stream: deterministic given (options, thread index).
+// Request stream t, one per storm thread: deterministic given (options, t).
 class RequestStream {
  public:
   RequestStream(const ServeOptions& options, std::uint32_t thread,
@@ -156,6 +124,162 @@ class RequestStream {
   std::uint32_t slice_ = 1;
   std::size_t pool_cursor_ = 0;
 };
+
+// One request stream and its ring of round buffers: round r is drawn into
+// rounds[r % kRoundBuffers], each request tagged with its shard. Padded like
+// the sample slots, since threads draw different streams at once.
+struct alignas(64) PaddedStream {
+  PaddedStream(const ServeOptions& options, std::uint32_t index, const ZipfSampler* zipf,
+               const std::vector<Request>* pool)
+      : requests(options, index, zipf, pool) {}
+
+  RequestStream requests;
+  std::array<std::vector<Drawn>, kRoundBuffers> rounds;
+};
+
+// One unit of storm work: draw round `round` of stream `index`, or run
+// round `round` of shard `index`. kNone is no task: nothing finished yet,
+// or the storm is over.
+struct StormTask {
+  enum Kind { kNone, kDraw, kRun };
+  Kind kind = kNone;
+  std::uint32_t index = 0;
+  std::uint64_t round = 0;
+};
+
+// Hands the storm's tasks to idle threads. Shard s may run round r once
+// every stream has drawn round r and s has finished round r - 1. Stream t
+// may draw round r once it has drawn round r - 1 and every shard has
+// finished round r - kRoundBuffers, whose buffer round r reuses; one thread
+// at a time draws a stream. A ready shard-round comes first, for the shard
+// with the fewest finished rounds (ties to the lower shard), so the next
+// free thread takes the busiest shard's next round; otherwise the stream
+// with the fewest drawn rounds (ties to the lower stream) draws. Every
+// claim and completion takes the one mutex.
+class StormScheduler {
+ public:
+  StormScheduler(std::uint32_t streams, std::uint32_t shards, std::uint64_t rounds)
+      : rounds_(rounds),
+        drawn_(streams, 0),
+        drawing_(streams, false),
+        finished_(shards, 0),
+        running_(shards, false) {}
+
+  // Records `done` as finished, then claims the next ready task, waiting
+  // while none is ready. Returns kNone once every shard has run every round.
+  StormTask Next(const StormTask& done) {
+    std::unique_lock lock(mutex_);
+    if (done.kind == StormTask::kDraw) {
+      ++drawn_[done.index];
+      drawing_[done.index] = false;
+    } else if (done.kind == StormTask::kRun) {
+      ++finished_[done.index];
+      running_[done.index] = false;
+    }
+    if (done.kind != StormTask::kNone) {
+      ready_.notify_all();
+    }
+    for (;;) {
+      const std::uint64_t all_drawn = *std::min_element(drawn_.begin(), drawn_.end());
+      const std::uint64_t all_finished = *std::min_element(finished_.begin(), finished_.end());
+      if (all_finished == rounds_) {
+        return {};
+      }
+      StormTask task;
+      for (std::uint32_t s = 0; s < finished_.size(); ++s) {
+        if (!running_[s] && finished_[s] < all_drawn &&
+            (task.kind == StormTask::kNone || finished_[s] < task.round)) {
+          task = {StormTask::kRun, s, finished_[s]};
+        }
+      }
+      if (task.kind == StormTask::kRun) {
+        running_[task.index] = true;
+        return task;
+      }
+      for (std::uint32_t t = 0; t < drawn_.size(); ++t) {
+        if (!drawing_[t] && drawn_[t] < std::min(rounds_, all_finished + kRoundBuffers) &&
+            (task.kind == StormTask::kNone || drawn_[t] < task.round)) {
+          task = {StormTask::kDraw, t, drawn_[t]};
+        }
+      }
+      if (task.kind == StormTask::kDraw) {
+        drawing_[task.index] = true;
+        return task;
+      }
+      ready_.wait(lock);
+    }
+  }
+
+ private:
+  const std::uint64_t rounds_;
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::vector<std::uint64_t> drawn_;     // Rounds each stream has drawn.
+  std::vector<bool> drawing_;            // A thread is drawing the stream.
+  std::vector<std::uint64_t> finished_;  // Rounds each shard has run.
+  std::vector<bool> running_;            // A thread is running the shard.
+};
+
+// Draws round `round` of a stream whose requests [0, warmup) are warm-up
+// and [warmup, total) counted.
+void DrawRound(const CacheEngine& engine, PaddedStream& stream, std::uint64_t round,
+               std::uint64_t warmup, std::uint64_t total) {
+  std::vector<Drawn>& batch = stream.rounds[round % kRoundBuffers];
+  batch.clear();
+  const std::uint64_t first = round * kRoundRequests;
+  for (std::uint64_t i = first, end = std::min(total, first + kRoundRequests); i < end; ++i) {
+    Drawn entry{stream.requests.Next()};
+    entry.shard = engine.ShardForFile(entry.request.block.file);
+    entry.counted = i >= warmup;
+    batch.push_back(entry);
+  }
+}
+
+// Runs shard `shard`'s requests of round `round` in seq order: request k of
+// every stream's round before request k + 1, streams in index order. Request
+// i of stream u has seq = i x streams + u and runs at seq x kSeqSpacingUs.
+// Counted latencies go to `slot`.
+void RunRound(CacheEngine& engine, const std::vector<PaddedStream>& streams,
+              std::uint32_t shard, std::uint64_t round, PaddedSampleSlot& slot) {
+  const auto stream_count = static_cast<std::uint32_t>(streams.size());
+  std::vector<std::span<const Drawn>> batches(stream_count);
+  std::size_t round_length = 0;
+  for (std::uint32_t u = 0; u < stream_count; ++u) {
+    batches[u] = streams[u].rounds[round % kRoundBuffers];
+    round_length = std::max(round_length, batches[u].size());
+  }
+  for (std::size_t k = 0; k < round_length; ++k) {
+    for (std::uint32_t u = 0; u < stream_count; ++u) {
+      if (k >= batches[u].size() || batches[u][k].shard != shard) {
+        continue;
+      }
+      const Drawn& entry = batches[u][k];
+      const std::uint64_t seq = (round * kRoundRequests + k) * stream_count + u;
+      const Micros now = static_cast<Micros>(seq) * kSeqSpacingUs;
+      const Request& request = entry.request;
+      const auto op_start = std::chrono::steady_clock::now();
+      std::size_t sample_class = kPutClass;
+      Micros modeled_us = 0;
+      if (request.is_get) {
+        const EngineOutcome outcome = engine.Lookup(request.client, request.block, now);
+        sample_class = static_cast<std::size_t>(outcome.read.level);
+        modeled_us = outcome.latency_us;
+      } else {
+        modeled_us = engine.Admit(request.client, request.block, now);
+      }
+      const auto op_end = std::chrono::steady_clock::now();
+      if (entry.counted) {
+        slot.samples[sample_class].push_back(
+            static_cast<double>(modeled_us) +
+            static_cast<double>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(op_end - op_start)
+                    .count()) /
+                1000.0);
+      }
+    }
+  }
+  slot.last_request = std::chrono::steady_clock::now();
+}
 
 // Statistics of sample classes [first, last) over every thread: the
 // quantiles are read from the threads' sorted runs, the extremes from the
@@ -352,7 +476,7 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
     }
   }
 
-  // Fixed per-thread op budgets, remainders to the lowest-indexed threads, so
+  // Fixed per-stream op budgets, remainders to the lowest-indexed streams, so
   // counted get/put totals are deterministic regardless of interleaving.
   const std::uint32_t threads = options.client_threads;
   std::vector<std::uint64_t> counted_budget(threads, options.ops / threads);
@@ -364,24 +488,23 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
     ++warmup_budget[t];
   }
 
-  // The storm runs in rounds of kRoundRequests draws per thread. Request i
-  // of thread t gets seq = i * threads + t, which orders each shard's
-  // requests and sets their simulated time. The barrier's completion step
-  // gives this round's shards to threads; each thread then runs its shards'
-  // requests in seq order, so no two threads ever run one shard at once.
-  // After its last request a thread sorts its samples, waits on the latch
-  // until every thread has run its last request, and checks shards t,
-  // t + threads, ... .
+  // The storm is two kinds of task, handed out by the scheduler: stream t
+  // draws its next round of kRoundRequests requests, and shard s runs its
+  // requests of its next round in seq order (RunRound), so one thread at a
+  // time runs a shard, and each shard runs the same operation sequence at
+  // any thread count. Once every shard has run every round the engine is
+  // quiescent: each thread then sorts its samples and checks shards t,
+  // t + threads, ... without their locks.
   const std::uint32_t shard_count = engine.num_shards();
   const std::uint64_t rounds =
       (warmup_budget[0] + counted_budget[0] + kRoundRequests - 1) / kRoundRequests;
+  std::vector<PaddedStream> streams;
+  streams.reserve(threads);
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    streams.emplace_back(options, t, zipf.get(), pool.empty() ? nullptr : &pool);
+  }
   std::vector<PaddedSampleSlot> slots(threads);
-  std::vector<PaddedBatch> batches(threads);
-  std::vector<std::uint64_t> owned(threads);
-  std::barrier handoff(static_cast<std::ptrdiff_t>(threads), [&]() noexcept {
-    AssignShardsLongestFirst(batches, shard_count, owned);
-  });
-  std::latch requests_done(static_cast<std::ptrdiff_t>(threads));
+  StormScheduler scheduler(threads, shard_count, rounds);
   std::vector<Status> shard_status(shard_count);
 
   const auto storm_start = std::chrono::steady_clock::now();
@@ -389,78 +512,27 @@ Result<ServeReport> RunServe(const ServeOptions& options) {
   workers.reserve(threads);
   for (std::uint32_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      RequestStream stream(options, t, zipf.get(), pool.empty() ? nullptr : &pool);
       PaddedSampleSlot& slot = slots[t];
-      PaddedBatch& mine = batches[t];
-      const std::uint64_t total_ops = warmup_budget[t] + counted_budget[t];
-      std::vector<std::span<const Drawn>> round_batches(threads);
-      std::uint64_t next = 0;  // Index of this thread's next request.
-      for (std::uint64_t round = 0; round < rounds; ++round) {
-        std::vector<Drawn>& batch = mine.drawn[round % 2];
-        batch.clear();
-        mine.shard_counts.fill(0);
-        for (const std::uint64_t end = std::min(total_ops, next + kRoundRequests); next < end;
-             ++next) {
-          Drawn entry{stream.Next()};
-          entry.shard = engine.ShardForFile(entry.request.block.file);
-          entry.counted = next >= warmup_budget[t];
-          ++mine.shard_counts[entry.shard];
-          batch.push_back(entry);
-        }
-        handoff.arrive_and_wait();
-
-        const std::uint64_t mask = owned[t];
-        if (mask == 0) {
-          continue;
-        }
-        std::size_t round_length = 0;
-        for (std::uint32_t u = 0; u < threads; ++u) {
-          round_batches[u] = batches[u].drawn[round % 2];
-          round_length = std::max(round_length, round_batches[u].size());
-        }
-        for (std::size_t k = 0; k < round_length; ++k) {
-          for (std::uint32_t u = 0; u < threads; ++u) {
-            if (k >= round_batches[u].size()) {
-              continue;
-            }
-            const Drawn& entry = round_batches[u][k];
-            if (((mask >> entry.shard) & 1) == 0) {
-              continue;
-            }
-            const std::uint64_t seq = (round * kRoundRequests + k) * threads + u;
-            const Micros now = static_cast<Micros>(seq) * kSeqSpacingUs;
-            const Request& request = entry.request;
-            const auto op_start = std::chrono::steady_clock::now();
-            std::size_t sample_class = kPutClass;
-            Micros modeled_us = 0;
-            if (request.is_get) {
-              const EngineOutcome outcome = engine.Lookup(request.client, request.block, now);
-              sample_class = static_cast<std::size_t>(outcome.read.level);
-              modeled_us = outcome.latency_us;
-            } else {
-              modeled_us = engine.Admit(request.client, request.block, now);
-            }
-            const auto op_end = std::chrono::steady_clock::now();
-            if (entry.counted) {
-              slot.samples[sample_class].push_back(
-                  static_cast<double>(modeled_us) +
-                  static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                          op_end - op_start)
-                                          .count()) /
-                      1000.0);
-            }
-          }
+      // Any thread may run any shard-round, so any thread may record up to
+      // every counted op of a class. The reservation is virtual: pages are
+      // committed only as samples land, and no growth copy is ever made.
+      for (std::vector<double>& samples : slot.samples) {
+        samples.reserve(options.ops);
+      }
+      for (StormTask task = scheduler.Next({}); task.kind != StormTask::kNone;
+           task = scheduler.Next(task)) {
+        if (task.kind == StormTask::kDraw) {
+          DrawRound(engine, streams[task.index], task.round, warmup_budget[task.index],
+                    warmup_budget[task.index] + counted_budget[task.index]);
+        } else {
+          RunRound(engine, streams, task.index, task.round, slot);
         }
       }
-      slot.last_request = std::chrono::steady_clock::now();
       for (std::size_t sample_class = 0; sample_class < kNumSampleClasses; ++sample_class) {
         std::vector<double>& samples = slot.samples[sample_class];
         std::sort(samples.begin(), samples.end());
         slot.sums[sample_class] = std::accumulate(samples.begin(), samples.end(), 0.0);
       }
-      // Once every thread is past its last request the engine is quiescent,
-      // so each shard can be read without its lock.
-      requests_done.arrive_and_wait();
       for (std::uint32_t shard = t; shard < shard_count; shard += threads) {
         shard_status[shard] = CheckCacheDirectoryConsistency(engine.context(shard));
       }

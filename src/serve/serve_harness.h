@@ -2,25 +2,29 @@
 //
 // RunServe models a live cooperative-caching deployment: client_threads
 // threads run get/put requests against shared manager/peer state (a sharded
-// CacheEngine). Each thread draws a fixed share of the requests from its own
-// deterministic stream, but a request runs on whichever thread owns its
-// shard in that round.
+// CacheEngine). Request stream t (one per thread) draws a fixed share of the
+// requests for its slice of the clients, but any thread may draw a stream's
+// next round or run a shard's next round.
 //
-// Rounds and shard owners: in each round every thread draws its next 4,096
-// requests into its own batch, tagging each with its shard
-// (CacheEngine::ShardForFile) and with seq = i x client_threads + t for
-// request i of thread t. One barrier per round hands the batches off: its
-// completion step gives whole shards to threads, longest first by the
-// round's per-shard request counts, and each thread then runs its shards'
-// requests of the round in seq order. This is the paper's Hash-Distributed
+// Rounds and the scheduler: stream t draws its requests in rounds of 4,096
+// into a ring of round buffers, tagging each with its shard
+// (CacheEngine::ShardForFile) and with seq = i x client_threads + t for its
+// request i. Shard s runs round r once every stream has drawn round r and s
+// has finished round r - 1: that round's requests on s, in seq order. The
+// threads share these draw and run tasks through one mutex and condition
+// variable, work-conserving: an idle thread runs a ready shard-round,
+// picking the shard with the fewest finished rounds, or else draws the next
+// round of the stream furthest behind. This is the paper's Hash-Distributed
 // idea (§2.5) applied to execution as well as state: one thread at a time
-// runs a shard, and shard state moves between cores at most once per round.
-// seq x 50 us is a request's simulated time, so no shared counter is needed.
+// runs a shard, a shard's state moves between cores at most once per round,
+// and the storm's floor is the busiest shard's own serial run rather than
+// the slowest thread of every round. seq x 50 us is a request's simulated
+// time, so no shared counter is needed.
 //
-// Each thread records its counted completions in its own cache-line-padded
-// slot (one sample vector per cache level for gets, one for puts). After its
-// last request each thread sorts its own samples; once every thread has run
-// its last request, each checks its share of the shards (shards t,
+// Each thread records the counted completions it runs in its own
+// cache-line-padded slot (one sample vector per cache level for gets, one
+// for puts). Once every shard has run every round, each thread sorts its
+// own samples and checks its share of the shards (shards t,
 // t + client_threads, ...). After the join, RunServe reads every quantile
 // from the threads' sorted runs by rank selection (QuantileFromSortedRuns);
 // no merged copy of the samples is built. The storm threads are the only
@@ -32,8 +36,8 @@
 //   OutcomeLatency / WriteLatency — memory copy, per-hop network cost,
 //   block transfer, disk access)
 //   + measured wall-clock time of the engine call itself (hot-path structure
-//   work, the part replay cannot show; the owner is the only thread on its
-//   shard, so the call never waits for the shard's lock).
+//   work, the part replay cannot show; one thread at a time runs a shard,
+//   so the call never waits for the shard's lock).
 //
 // so the reported p50/p95/p99/p999 per level (local / remote-client /
 // server-memory / disk) combine the paper's technology model with the real
@@ -74,8 +78,9 @@ constexpr const char* ServeKeyMixName(ServeKeyMix mix) {
 }
 
 struct ServeOptions {
-  // Storm threads. Each draws ops/client_threads requests (remainders to the
-  // lowest-indexed threads) and runs the requests of the shards it owns.
+  // Storm threads, and request streams: stream t draws ops/client_threads
+  // requests (remainders to the lowest-indexed streams). Any thread draws
+  // any stream's next round or runs any shard's next ready round.
   std::uint32_t client_threads = 8;
 
   // Engine shards, at most 64. 0 derives the smallest power of two >=
@@ -142,8 +147,8 @@ struct ServeReport {
   BenchLatency total;
 
   // Post-drain invariant check: CheckCacheDirectoryConsistency over every
-  // shard once every thread has run its last request, each thread checking
-  // its share of the shards (no lost blocks, directory and holder state
+  // shard once every shard has run every round, each thread checking its
+  // share of the shards (no lost blocks, directory and holder state
   // agree, capacities respected). consistency_error names the
   // lowest-numbered failing shard.
   bool consistent = false;

@@ -287,6 +287,21 @@ TEST(ServeHarnessTest, EightThreadStormCompletes) {
   EXPECT_TRUE(report->consistent);
 }
 
+// Fewer requests than threads: stream 3 draws nothing, and most shard-rounds
+// run no request.
+TEST(ServeHarnessTest, StormWithFewerRequestsThanThreadsCompletes) {
+  ServeOptions options = SmallOptions();
+  options.client_threads = 4;
+  options.ops = 3;
+  options.warmup_ops = 0;
+  Result<ServeReport> report = RunServe(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->shards, 4u);
+  EXPECT_EQ(report->ops, 3u);
+  EXPECT_EQ(report->get_ops + report->put_ops, 3u);
+  EXPECT_TRUE(report->consistent) << report->consistency_error;
+}
+
 TEST(ServeHarnessTest, RejectsUnrunnableOptions) {
   {
     ServeOptions options = SmallOptions();

@@ -1,12 +1,16 @@
 // Randomized multi-thread stress for the concurrent serving path: full
 // RunServe storms across shard counts (each run twice, with the same hit
-// mix), and direct mixed-op storms against a sharded CacheEngine. Every storm must end with each shard's cache/directory
-// invariants intact (CheckCacheDirectoryConsistency). These tests are in the
-// tsan preset's filter so the synchronization claims are checked, not assumed.
+// mix), skewed Zipf storms against pinned hit mixes, and direct mixed-op
+// storms against a sharded CacheEngine. Every storm must end with each
+// shard's cache/directory invariants intact (CheckCacheDirectoryConsistency).
+// These tests are in the tsan preset's filter so the synchronization claims
+// are checked, not assumed.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,6 +49,44 @@ TEST(ServeStressTest, HarnessStormsStayConsistentAcrossShardCounts) {
     Result<ServeReport> again = RunServe(options);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
     EXPECT_EQ(again->get_level_counts, report->get_level_counts);
+  }
+}
+
+// Each shard runs a fixed operation sequence whichever thread runs each of
+// its rounds, so a skewed Zipf storm's per-level gets and puts are fixed by
+// its options. The values were read from the storm that ended every round
+// at one barrier. Each of the 3 streams draws 6 rounds, more than its ring
+// of round buffers holds.
+TEST(ServeStressTest, SkewedZipfStormsKeepPinnedHitMix) {
+  struct Pinned {
+    std::uint32_t shards;  // 0 derives 4 from 3 threads.
+    double zipf_s;
+    std::array<std::uint64_t, kNumCacheLevels> gets;
+    std::uint64_t puts;
+  };
+  for (const Pinned& pinned : {Pinned{0, 0.9, {3187, 8294, 16362, 14201}, 17956},
+                               Pinned{0, 1.1, {5606, 5566, 23214, 7658}, 17956},
+                               Pinned{1, 0.9, {2631, 8502, 17134, 13777}, 17956},
+                               Pinned{2, 0.9, {2975, 8416, 16798, 13855}, 17956}}) {
+    SCOPED_TRACE("shards=" + std::to_string(pinned.shards) +
+                 " zipf_s=" + std::to_string(pinned.zipf_s));
+    ServeOptions options;
+    options.client_threads = 3;
+    options.shards = pinned.shards;
+    options.num_clients = 12;
+    options.ops = 60'000;
+    options.warmup_ops = 6'000;
+    options.get_fraction = 0.7;
+    options.num_files = 200;
+    options.zipf_s = pinned.zipf_s;
+    options.config.client_cache_blocks = 64;
+    options.config.server_cache_blocks = 256;
+
+    Result<ServeReport> report = RunServe(options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->shards, pinned.shards == 0 ? 4u : pinned.shards);
+    EXPECT_EQ(report->get_level_counts, pinned.gets);
+    EXPECT_EQ(report->put_ops, pinned.puts);
   }
 }
 

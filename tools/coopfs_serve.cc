@@ -1,9 +1,10 @@
 // coopfs_serve: live multi-node serving harness CLI (src/serve).
 //
-// Runs a get/put storm against the sharded CacheEngine (each round, one
-// thread runs each shard's requests), prints the per-level tail-latency
-// table, and optionally exports the measurement as a "coopfs.bench/v1"
-// document plus a "coopfs.run/v1" manifest recording how to re-run it.
+// Runs a get/put storm against the sharded CacheEngine (one thread at a
+// time runs each shard's next round of requests), prints the per-level
+// tail-latency table, and optionally exports the measurement as a
+// "coopfs.bench/v1" document plus a "coopfs.run/v1" manifest recording how
+// to re-run it.
 //
 // Usage: coopfs_serve [--threads N] [--shards N] [--clients N]
 //            [--policy NAME] [--ops N] [--warmup N] [--get-fraction F]
