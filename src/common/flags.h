@@ -1,5 +1,6 @@
-// Numeric command-line flag parsing, shared by coopfs_bench, perf_harness
-// and coopfs_serve so every tool rejects a malformed number the same way.
+// Numeric command-line flag parsing, shared by coopfs_bench, perf_harness,
+// coopfs_serve and coopfs_inspect so every tool rejects a malformed number
+// the same way (coopfs_inspect with its own error exit code, 1).
 #ifndef COOPFS_SRC_COMMON_FLAGS_H_
 #define COOPFS_SRC_COMMON_FLAGS_H_
 

@@ -5,24 +5,13 @@
 namespace coopfs {
 
 ReadOutcome BaselinePolicy::Read(ClientId client, BlockId block) {
-  if (CacheEntry* entry = ctx().client_cache(client).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    return {CacheLevel::kLocalMemory, 0, false};
+  if (std::optional<ReadOutcome> hit = ReadLocal(client, block)) {
+    return *hit;
   }
-  if (CacheEntry* entry = ctx().server_cache_for(block).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    ctx().ChargeServerMemoryHit();
-    CacheLocally(client, block);
-    return {CacheLevel::kServerMemory, 2, true};
+  if (std::optional<ReadOutcome> hit = ReadServerMemory(client, block)) {
+    return *hit;
   }
-  if (std::optional<ReadOutcome> dirty = MaybeServeFromDirtyHolder(client, block);
-      dirty.has_value()) {
-    return *dirty;
-  }
-  ctx().ChargeDiskHit();
-  InstallInServerCache(block);
-  CacheLocally(client, block);
-  return {CacheLevel::kServerDisk, 2, true};
+  return ReadDisk(client, block);
 }
 
 }  // namespace coopfs

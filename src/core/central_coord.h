@@ -37,8 +37,6 @@ class CentralCoordPolicy : public PolicyBase {
 
   ReadOutcome Read(ClientId client, BlockId block) override;
 
-  double coordinated_fraction() const { return coordinated_fraction_; }
-
   // Introspection for tests: is `block` resident in the globally managed
   // distributed cache? Only valid between Attach and the next Attach.
   bool GlobalCacheContains(BlockId block) const {

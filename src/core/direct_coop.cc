@@ -21,15 +21,13 @@ void DirectCoopPolicy::OnAttach() {
 }
 
 ReadOutcome DirectCoopPolicy::Read(ClientId client, BlockId block) {
-  if (CacheEntry* entry = ctx().client_cache(client).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    return {CacheLevel::kLocalMemory, 0, false};
+  if (std::optional<ReadOutcome> hit = ReadLocal(client, block)) {
+    return *hit;
   }
 
   // Probe the private remote cache: request + reply, no server (Figure 3:
   // 1050 us on ATM). The block migrates back into the local cache.
-  BlockCache& remote = *remote_caches_[client];
-  if (remote.Erase(block)) {
+  if (remote_caches_[client]->Erase(block)) {
     // The "remote client" here is this client's own private remote cache.
     ctx().TraceForward(client);
     CacheLocally(client, block);
@@ -38,31 +36,14 @@ ReadOutcome DirectCoopPolicy::Read(ClientId client, BlockId block) {
 
   // As far as the server is concerned this client just has a larger cache:
   // the remaining path is exactly the baseline's.
-  if (CacheEntry* entry = ctx().server_cache_for(block).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    ctx().ChargeServerMemoryHit();
-    CacheLocally(client, block);
-    return {CacheLevel::kServerMemory, 2, true};
+  if (std::optional<ReadOutcome> hit = ReadServerMemory(client, block)) {
+    return *hit;
   }
-
-  if (std::optional<ReadOutcome> dirty = MaybeServeFromDirtyHolder(client, block);
-      dirty.has_value()) {
-    return *dirty;
-  }
-  ctx().ChargeDiskHit();
-  InstallInServerCache(block);
-  CacheLocally(client, block);
-  return {CacheLevel::kServerDisk, 2, true};
+  return ReadDisk(client, block);
 }
 
-void DirectCoopPolicy::EvictForInsert(ClientId client) {
-  BlockCache& cache = ctx().client_cache(client);
-  CacheEntry* victim = cache.Lru();
-  if (victim == nullptr) {
-    return;
-  }
-  const BlockId block = victim->block;
-  FlushIfDirty(client, block);
+void DirectCoopPolicy::DisposeVictim(ClientId client, CacheEntry& victim) {
+  const BlockId block = victim.block;
   DropLocal(client, block);
 
   BlockCache& remote = *remote_caches_[client];

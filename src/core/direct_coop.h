@@ -43,7 +43,7 @@ class DirectCoopPolicy : public PolicyBase {
   void OnAttach() override;
 
   // Local evictions spill into the private remote cache instead of dying.
-  void EvictForInsert(ClientId client) override;
+  void DisposeVictim(ClientId client, CacheEntry& victim) override;
 
   // Writes and deletes must invalidate private remote copies too.
   void OnInvalidateExtra(BlockId block, ClientId writer) override;

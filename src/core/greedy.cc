@@ -1,20 +1,15 @@
 #include "src/core/greedy.h"
 
+#include <optional>
+
 namespace coopfs {
 
 ReadOutcome GreedyPolicy::Read(ClientId client, BlockId block) {
-  if (CacheEntry* entry = ctx().client_cache(client).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    OnLocalHit(client, *entry);
-    return {CacheLevel::kLocalMemory, 0, false};
+  if (std::optional<ReadOutcome> hit = ReadLocal(client, block)) {
+    return *hit;
   }
-
-  if (CacheEntry* entry = ctx().server_cache_for(block).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    ctx().ChargeServerMemoryHit();
-    OnBlockReplicated(block);
-    CacheLocally(client, block);
-    return {CacheLevel::kServerMemory, 2, true};
+  if (std::optional<ReadOutcome> hit = ReadServerMemory(client, block)) {
+    return *hit;
   }
 
   // The server consults its directory and forwards the request to a caching
@@ -27,22 +22,8 @@ ReadOutcome GreedyPolicy::Read(ClientId client, BlockId block) {
     CacheLocally(client, block);
     return {CacheLevel::kRemoteClient, 3, true};
   }
-
-  ctx().ChargeDiskHit();
-  InstallInServerCache(block);
-  CacheLocally(client, block);
-  return {CacheLevel::kServerDisk, 2, true};
-}
-
-void GreedyPolicy::OnLocalHit(ClientId client, CacheEntry& entry) {
-  (void)client;
-  (void)entry;
-}
-
-void GreedyPolicy::OnRemoteHit(ClientId client, ClientId holder, BlockId block) {
-  (void)client;
-  (void)holder;
-  (void)block;
+  // No other client holds the block, so ReadDisk finds no dirty copy.
+  return ReadDisk(client, block);
 }
 
 }  // namespace coopfs

@@ -7,7 +7,7 @@
 // persist.
 //
 // GreedyPolicy is also the base of N-Chance Forwarding (greedy is N-Chance
-// with n = 0), which overrides the eviction path and the two hooks below.
+// with n = 0), which overrides OnRemoteHit below and PolicyBase's hooks.
 #ifndef COOPFS_SRC_CORE_GREEDY_H_
 #define COOPFS_SRC_CORE_GREEDY_H_
 
@@ -24,18 +24,14 @@ class GreedyPolicy : public PolicyBase {
   ReadOutcome Read(ClientId client, BlockId block) override;
 
  protected:
-  // Called when `client` hits its own cached copy. N-Chance turns a
-  // recirculating copy back into normal local data here.
-  virtual void OnLocalHit(ClientId client, CacheEntry& entry);
-
   // Called when the server forwards `client`'s read to `holder`. N-Chance
   // discards the holder's copy if it was a recirculating singlet and clears
   // stale singlet flags.
-  virtual void OnRemoteHit(ClientId client, ClientId holder, BlockId block);
-
-  // Called when a copy of `block` appears somewhere new while other client
-  // copies exist. N-Chance clears holders' singlet flags.
-  virtual void OnBlockReplicated(BlockId block) { (void)block; }
+  virtual void OnRemoteHit(ClientId client, ClientId holder, BlockId block) {
+    (void)client;
+    (void)holder;
+    (void)block;
+  }
 };
 
 }  // namespace coopfs

@@ -33,9 +33,8 @@ ClientId HashDistributedPolicy::HashTarget(BlockId block) const {
 }
 
 ReadOutcome HashDistributedPolicy::Read(ClientId client, BlockId block) {
-  if (CacheEntry* entry = ctx().client_cache(client).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    return {CacheLevel::kLocalMemory, 0, false};
+  if (std::optional<ReadOutcome> hit = ReadLocal(client, block)) {
+    return *hit;
   }
 
   // The distributed cache is probed first, directly at the responsible
@@ -54,22 +53,11 @@ ReadOutcome HashDistributedPolicy::Read(ClientId client, BlockId block) {
 
   // Partition miss: the hashed client forwards the request to the server
   // (one extra hop unless the requester was the hashed client itself).
-  const int extra_hop = self_target ? 0 : 1;
-  if (CacheEntry* entry = ctx().server_cache_for(block).Touch(block); entry != nullptr) {
-    entry->last_ref = ctx().now();
-    ctx().ChargeServerMemoryHit();
-    CacheLocally(client, block);
-    return {CacheLevel::kServerMemory, 2 + extra_hop, true};
+  const int hops = self_target ? 2 : 3;
+  if (std::optional<ReadOutcome> hit = ReadServerMemory(client, block, hops)) {
+    return *hit;
   }
-
-  if (std::optional<ReadOutcome> dirty = MaybeServeFromDirtyHolder(client, block);
-      dirty.has_value()) {
-    return *dirty;
-  }
-  ctx().ChargeDiskHit();
-  InstallInServerCache(block);
-  CacheLocally(client, block);
-  return {CacheLevel::kServerDisk, 2 + extra_hop, true};
+  return ReadDisk(client, block, hops);
 }
 
 void HashDistributedPolicy::OnServerEvict(BlockId block) {

@@ -52,28 +52,13 @@ void NChancePolicy::OnBlockReplicated(BlockId block) {
   }
 }
 
-CacheEntry* NChancePolicy::SelectVictim(ClientId client) {
-  return ctx().client_cache(client).Lru();
-}
-
-void NChancePolicy::EvictForInsert(ClientId client) {
-  CacheEntry* victim = SelectVictim(client);
-  if (victim == nullptr) {
-    return;
-  }
+void NChancePolicy::DisposeVictim(ClientId client, CacheEntry& victim) {
+  const BlockId block = victim.block;
   if (n_ == 0) {
     // Degenerate case: exactly Greedy Forwarding, no queries, no forwarding.
-    DropLocal(client, victim->block);
+    DropLocal(client, block);
     return;
   }
-  HandleEviction(client, *victim);
-}
-
-void NChancePolicy::HandleEviction(ClientId client, CacheEntry& victim) {
-  const BlockId block = victim.block;
-  // Delayed writes: the server must have the data before the copy leaves
-  // this cache (whether dropped or forwarded).
-  FlushIfDirty(client, block);
 
   bool is_singlet;
   int count;
@@ -172,9 +157,7 @@ void NChancePolicy::MakeSpaceWithoutForwarding(ClientId peer) {
   }
 }
 
-ClientId NChancePolicy::PickForwardTarget(ClientId client) { return PickRandomPeer(client); }
-
-ClientId NChancePolicy::PickRandomPeer(ClientId client) {
+ClientId NChancePolicy::PickForwardTarget(ClientId client) {
   const std::uint32_t n = ctx().num_clients();
   if (n <= 1) {
     return kNoClient;

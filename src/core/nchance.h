@@ -51,26 +51,16 @@ class NChancePolicy : public GreedyPolicy {
   void OnRemoteHit(ClientId client, ClientId holder, BlockId block) override;
   void OnBlockReplicated(BlockId block) override;
 
-  // Eviction to admit a new block: LRU victim, but singlets recirculate.
-  void EvictForInsert(ClientId client) override;
-
-  // Victim selection for a normal (non-recirculation) insertion. Weighted
-  // LRU overrides this to pick the lowest value/cost block.
-  virtual CacheEntry* SelectVictim(ClientId client);
+  // A victim evicted to admit a new block: duplicates are dropped, singlets
+  // with recirculations left are forwarded to a peer.
+  void DisposeVictim(ClientId client, CacheEntry& victim) override;
 
   // Forward-target selection for a recirculating singlet. The paper's base
   // algorithm picks uniformly at random; the idle-aware variant (§2.4's
   // suggested enhancement) overrides this. Returns kNoClient if no peer.
   virtual ClientId PickForwardTarget(ClientId client);
 
-  // Uniformly random peer other than `client` (kNoClient if none).
-  ClientId PickRandomPeer(ClientId client);
-
  private:
-  // Disposes of `victim` (must be in `client`'s cache): drop duplicates,
-  // recirculate singlets with remaining budget.
-  void HandleEviction(ClientId client, CacheEntry& victim);
-
   // Delivers a recirculated singlet to `peer` with `count` recirculations
   // remaining, applying the modified replacement rule if the peer is full.
   void ReceiveForwarded(ClientId peer, BlockId block, int count);

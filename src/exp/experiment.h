@@ -3,8 +3,8 @@
 // Every figure in the paper's evaluation — and every ext_* extension — is the
 // same shape: replay a shared trace under a list of (config, policy) jobs,
 // print a table, export structured metrics. An ExperimentSpec captures one
-// such experiment declaratively (name, workload, banner strings, the paper's
-// expectation note, and a run function working against an ExperimentContext);
+// such experiment declaratively (name, workload, banner strings, and a run
+// function that prints the paper's expectation through an ExperimentContext);
 // the ExperimentRegistry holds them all in canonical order. The single
 // `coopfs_bench` driver executes registered specs (--list / --filter /
 // --threads, src/exp/driver.h); it is the only experiment binary.
@@ -40,7 +40,6 @@ struct ExperimentSpec {
   std::string title;        // banner title, e.g. "Figure 4"
   std::string what;         // banner subtitle, e.g. "average block read time by algorithm"
   std::string description;  // one-liner for --list
-  std::string paper_note;   // what the paper reported (expectation notes)
   TraceKind trace = TraceKind::kSprite;
   std::function<Status(ExperimentContext&)> run;
 };

@@ -78,7 +78,6 @@ ExperimentSpec ExtChurnSpec() {
   spec.title = "Extension: client churn (reboots)";
   spec.what = "cooperative caching under workstation reboots";
   spec.description = "cooperative caching under workstation reboots (custom traces)";
-  spec.paper_note = "expected: cooperative benefit erodes with churn but degrades gracefully";
   spec.trace = TraceKind::kCustom;
   spec.run = Run;
   return spec;

@@ -76,7 +76,6 @@ ExperimentSpec ExtIdleTargetingSpec() {
   spec.title = "Extension: idle-targeted forwarding";
   spec.what = "random vs. idle-aware N-Chance singlet placement";
   spec.description = "random vs. idle-aware N-Chance singlet placement";
-  spec.paper_note = "paper §2.4: idle targeting should help by not disturbing active clients";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

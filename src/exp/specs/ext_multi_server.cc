@@ -84,8 +84,6 @@ ExperimentSpec ExtMultiServerSpec() {
   spec.title = "Extension: multi-server striping";
   spec.what = "response and per-server load vs. #servers";
   spec.description = "hash-striping the file service over 1..8 servers";
-  spec.paper_note = "expected: raw response ~flat; per-server load ~1/S; striping keeps "
-                    "queueing in check (the xFS thesis)";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -76,8 +76,6 @@ ExperimentSpec ExtQueueingSpec() {
   spec.title = "Extension: server queueing sensitivity";
   spec.what = "M/M/1-adjusted response vs. server capacity";
   spec.description = "M/M/1-adjusted response times vs. server capacity";
-  spec.paper_note = "expected: rankings stable at generous capacity; Central saturates first "
-                    "as capacity tightens";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

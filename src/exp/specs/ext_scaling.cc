@@ -187,7 +187,6 @@ ExperimentSpec ExtScalingSpec() {
   spec.title = "Extension: client scale-out";
   spec.what = "N-Chance replay throughput and memory from 42 to 10^6 clients";
   spec.description = "streaming-replay scale-out sweep, 42 to 1M clients (custom traces)";
-  spec.paper_note = "expected: bounded replay memory and stable events/s across five decades";
   spec.trace = TraceKind::kCustom;
   spec.run = Run;
   return spec;

@@ -67,8 +67,6 @@ ExperimentSpec ExtWritePolicySpec() {
   spec.title = "Extension: write policy";
   spec.what = "write-through vs. 30 s delayed writes";
   spec.description = "write-through vs. 30 s delayed writes";
-  spec.paper_note = "expected: read columns nearly identical across write policies; delayed "
-                    "rows show server write traffic saved by absorption";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -46,7 +46,6 @@ ExperimentSpec Fig01TechnologyTableSpec() {
   spec.title = "Figure 1";
   spec.what = "local-miss service time, remote memory vs. remote disk";
   spec.description = "remote-memory vs. remote-disk service time (model)";
-  spec.paper_note = "paper reported: 6,900 / 21,700 / 1,050 / 15,850 us";
   spec.trace = TraceKind::kNone;
   spec.run = Run;
   return spec;

@@ -42,7 +42,6 @@ ExperimentSpec Fig03AccessTimesSpec() {
   spec.title = "Figure 3";
   spec.what = "per-level access times by algorithm (ATM)";
   spec.description = "per-level access times by algorithm (model)";
-  spec.paper_note = "paper reported: 250 / 1050 or 1250 / 1050 / 15,850 us";
   spec.trace = TraceKind::kNone;
   spec.run = Run;
   return spec;

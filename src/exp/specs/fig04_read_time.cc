@@ -47,8 +47,6 @@ ExperimentSpec Fig04ReadTimeSpec() {
   spec.title = "Figure 4";
   spec.what = "average block read time by algorithm";
   spec.description = "average block read time by algorithm";
-  spec.paper_note = "paper reported speedups: Direct 1.05x, Greedy 1.22x, Central 1.64x, "
-                    "N-Chance 1.73x";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

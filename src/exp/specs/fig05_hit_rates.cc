@@ -43,8 +43,6 @@ ExperimentSpec Fig05HitRatesSpec() {
   spec.title = "Figure 5";
   spec.what = "hit level breakdown by algorithm";
   spec.description = "hit level breakdown by algorithm";
-  spec.paper_note = "paper reported: local miss 22% (base/greedy/best) / 36% (central) / 23% "
-                    "(N-Chance); disk 15.7% base -> 7.6-7.7% coordinated";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -48,8 +48,6 @@ ExperimentSpec Fig06ServerLoadSpec() {
   spec.title = "Figure 6";
   spec.what = "relative server load by algorithm";
   spec.description = "relative server load by algorithm";
-  spec.paper_note = "paper reported: most algorithms at or below baseline load; Central "
-                    "somewhat above it";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -81,8 +81,6 @@ ExperimentSpec Fig07FairnessSpec() {
   spec.title = "Figure 7";
   spec.what = "per-client speedup vs. baseline (fairness)";
   spec.description = "per-client fairness vs. baseline";
-  spec.paper_note = "paper reported: Greedy & N-Chance harm no client; Direct slows a few "
-                    "clients up to 25%; Central slows one client 19%";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

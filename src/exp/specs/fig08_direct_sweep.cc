@@ -86,8 +86,6 @@ ExperimentSpec Fig08DirectSweepSpec() {
   spec.title = "Figure 8";
   spec.what = "Direct Cooperation speedup vs. remote cache size";
   spec.description = "Direct Cooperation speedup vs. remote cache size";
-  spec.paper_note = "paper reported: <1% at 4 MB, ~5% at 16 MB, ~40% at 64 MB; top 10% "
-                    "capture ~85% of the maximum Direct benefit";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -49,8 +49,6 @@ ExperimentSpec Fig09CentralFractionSpec() {
   spec.title = "Figure 9";
   spec.what = "Central Coordination response vs. coordinated fraction";
   spec.description = "Central Coordination response vs. coordinated fraction";
-  spec.paper_note = "paper reported: response-time plateau for 40-90% coordinated; the study "
-                    "uses 80%";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -49,8 +49,6 @@ ExperimentSpec Fig10NChanceNSpec() {
   spec.title = "Figure 10";
   spec.what = "N-Chance response vs. recirculation count n";
   spec.description = "N-Chance response vs. recirculation count n";
-  spec.paper_note = "paper reported: largest improvement 0->1; small gain 1->2; flat beyond "
-                    "(the study uses n = 2)";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -58,8 +58,6 @@ ExperimentSpec Fig11ClientCacheSpec() {
   spec.title = "Figure 11";
   spec.what = "response time vs. client cache size";
   spec.description = "response time vs. client cache size (parallel sweep)";
-  spec.paper_note = "paper reported: coordination pays off for reasonably large caches; tiny "
-                    "caches gain little (or lose). Default: 16 MB";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

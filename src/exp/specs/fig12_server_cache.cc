@@ -58,8 +58,6 @@ ExperimentSpec Fig12ServerCacheSpec() {
   spec.title = "Figure 12";
   spec.what = "response time vs. server cache size";
   spec.description = "response time vs. server cache size (parallel sweep)";
-  spec.paper_note = "paper reported: baseline improves sharply with server cache; benefit "
-                    "vanishes near aggregate client memory (672 MB). Default: 128 MB";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

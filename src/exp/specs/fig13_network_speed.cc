@@ -69,8 +69,6 @@ ExperimentSpec Fig13NetworkSpeedSpec() {
   spec.title = "Figure 13";
   spec.what = "response time vs. network block round-trip time";
   spec.description = "response time vs. network round-trip time (parallel sweep)";
-  spec.paper_note = "paper reported: ~20% peak speedup at Ethernet speed, ~70% at 1 ms, flat "
-                    "below ~100 us. Default: 800 us";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

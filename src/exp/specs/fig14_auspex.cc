@@ -57,8 +57,6 @@ ExperimentSpec Fig14AuspexSpec() {
   spec.title = "Figure 14";
   spec.what = "Berkeley Auspex workload (snooped NFS trace)";
   spec.description = "Auspex workload response times with stack deletion";
-  spec.paper_note = "paper reported (80% hidden rate): same ranking as Sprite; N-Chance "
-                    "speedup 2.00 (2.20 at 70%, 1.67 at 90%)";
   spec.trace = TraceKind::kAuspex;
   spec.run = Run;
   return spec;

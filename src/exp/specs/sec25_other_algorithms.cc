@@ -49,8 +49,6 @@ ExperimentSpec Sec25OtherAlgorithmsSpec() {
   spec.title = "Section 2.5";
   spec.what = "Hash-Distributed and Weighted-LRU (results omitted in paper)";
   spec.description = "Hash-Distributed and Weighted-LRU algorithms";
-  spec.paper_note = "paper reported: Hash-Distributed ~= Central hit rates with lower server "
-                    "load; Weighted LRU ~= N-Chance response time";
   spec.trace = TraceKind::kSprite;
   spec.run = Run;
   return spec;

@@ -106,8 +106,6 @@ ExperimentSpec Sec45MemoryPlacementSpec() {
   spec.title = "Section 4.5";
   spec.what = "moving memory to the server vs. cooperative caching";
   spec.description = "moving client memory to the server vs. cooperative caching";
-  spec.paper_note = "paper reported: moving memory gains +66% (Sprite), +93% (Auspex), but "
-                    "trails N-Chance with ~150% of its read load";
   spec.trace = TraceKind::kBoth;
   spec.run = Run;
   return spec;

@@ -30,13 +30,20 @@ void PolicyBase::CacheLocally(ClientId client, BlockId block) {
 }
 
 void PolicyBase::EvictForInsert(ClientId client) {
-  BlockCache& cache = ctx().client_cache(client);
-  CacheEntry* victim = cache.Lru();
+  CacheEntry* victim = SelectVictim(client);
   if (victim == nullptr) {
     return;
   }
   FlushIfDirty(client, victim->block);
-  DropLocal(client, victim->block);
+  DisposeVictim(client, *victim);
+}
+
+CacheEntry* PolicyBase::SelectVictim(ClientId client) {
+  return ctx().client_cache(client).Lru();
+}
+
+void PolicyBase::DisposeVictim(ClientId client, CacheEntry& victim) {
+  DropLocal(client, victim.block);
 }
 
 void PolicyBase::FlushIfDirty(ClientId client, BlockId block) {
@@ -67,25 +74,37 @@ void PolicyBase::Tick() {
   }
 }
 
-std::optional<ReadOutcome> PolicyBase::MaybeServeFromDirtyHolder(ClientId client, BlockId block) {
-  if (!delayed_writes()) {
+std::optional<ReadOutcome> PolicyBase::ReadServerMemory(ClientId client, BlockId block,
+                                                        int hops) {
+  CacheEntry* entry = ctx().server_cache_for(block).Touch(block);
+  if (entry == nullptr) {
     return std::nullopt;
   }
-  for (ClientId holder : ctx().directory().Holders(block)) {
-    if (holder == client) {
-      continue;
-    }
-    const CacheEntry* entry = ctx().client_cache(holder).Find(block);
-    if (entry != nullptr && entry->dirty) {
-      // The server recalls/forwards from the dirty client: request to
-      // server, forward to holder, data to requester (3 hops) — exactly
-      // the DASH dirty-line forwarding of paper §5.
-      ctx().ChargeRemoteClientHit(holder);
-      CacheLocally(client, block);
-      return ReadOutcome{CacheLevel::kRemoteClient, 3, true};
+  entry->last_ref = ctx().now();
+  ctx().ChargeServerMemoryHit();
+  OnBlockReplicated(block);
+  CacheLocally(client, block);
+  return ReadOutcome{CacheLevel::kServerMemory, hops, true};
+}
+
+ReadOutcome PolicyBase::ReadDisk(ClientId client, BlockId block, int hops) {
+  if (delayed_writes()) {
+    for (ClientId holder : ctx().directory().Holders(block)) {
+      if (holder == client) {
+        continue;
+      }
+      const CacheEntry* entry = ctx().client_cache(holder).Find(block);
+      if (entry != nullptr && entry->dirty) {
+        ctx().ChargeRemoteClientHit(holder);
+        CacheLocally(client, block);
+        return {CacheLevel::kRemoteClient, 3, true};
+      }
     }
   }
-  return std::nullopt;
+  ctx().ChargeDiskHit();
+  InstallInServerCache(block);
+  CacheLocally(client, block);
+  return {CacheLevel::kServerDisk, hops, true};
 }
 
 void PolicyBase::DropLocal(ClientId client, BlockId block) {

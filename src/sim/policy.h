@@ -2,10 +2,12 @@
 //
 // A Policy implements the read path of one cooperative caching algorithm
 // (paper §2) over the shared SimContext, and reports where each read was
-// satisfied. Write-through + write-invalidate consistency (§3), whole-file
-// deletes, and NFS read-attribute refresh are shared in PolicyBase; policies
-// override the hooks that differ (victim selection, server-cache eviction
-// destination, extra invalidation targets).
+// satisfied. The algorithms share one hierarchy and differ in how a local
+// miss may use other clients' memory, so PolicyBase owns the shared read
+// rungs, the one eviction path (which writes dirty victims back),
+// write-through + write-invalidate consistency (§3), delayed writes,
+// whole-file deletes, reboots and NFS read-attribute refresh. Policies
+// override the hooks that differ.
 #ifndef COOPFS_SRC_SIM_POLICY_H_
 #define COOPFS_SRC_SIM_POLICY_H_
 
@@ -60,7 +62,7 @@ class Policy {
   virtual void Tick() {}
 };
 
-// Shared machinery. Concrete policies implement Read and override hooks.
+// Shared machinery. Each policy builds its Read from the read rungs below.
 class PolicyBase : public Policy {
  public:
   void Attach(SimContext& context) override {
@@ -102,10 +104,52 @@ class PolicyBase : public Policy {
   // local cache has zero capacity; touches instead if already present.
   void CacheLocally(ClientId client, BlockId block);
 
-  // Evicts one block from `client`'s full cache to admit a new one.
-  // Default: plain LRU discard (+ directory update). N-Chance recirculates
-  // singlets; Weighted-LRU picks a different victim.
+  // Shared read rung, inline because every read starts here: a local hit
+  // renews the copy's LRU position and calls OnLocalHit. Returns nullopt on
+  // a miss.
+  std::optional<ReadOutcome> ReadLocal(ClientId client, BlockId block) {
+    CacheEntry* entry = ctx().client_cache(client).Touch(block);
+    if (entry == nullptr) {
+      return std::nullopt;
+    }
+    entry->last_ref = ctx().now();
+    OnLocalHit(client, *entry);
+    return ReadOutcome{CacheLevel::kLocalMemory, 0, false};
+  }
+
+  // Shared read rung: a server-memory hit over `hops` hops (3 if a peer
+  // relayed the request) charges the server, calls OnBlockReplicated, then
+  // caches the block locally. Returns nullopt on a miss.
+  std::optional<ReadOutcome> ReadServerMemory(ClientId client, BlockId block, int hops = 2);
+
+  // The last read rung. Under delayed writes another client's dirty copy is
+  // newer than disk, so the server forwards the read there (always 3 hops,
+  // DASH-style, paper §5); otherwise disk serves it over `hops` hops through
+  // the server cache. Either way the block is then cached locally.
+  ReadOutcome ReadDisk(ClientId client, BlockId block, int hops = 2);
+
+  // Hook: `client` hit its own copy. N-Chance turns a recirculating copy
+  // back into normal local data.
+  virtual void OnLocalHit(ClientId client, CacheEntry& entry) {
+    (void)client;
+    (void)entry;
+  }
+
+  // Hook: server memory is supplying a copy of `block` to a client. N-Chance
+  // clears the other holders' singlet state.
+  virtual void OnBlockReplicated(BlockId block) { (void)block; }
+
+  // The one eviction path, run while `client`'s cache is full: SelectVictim,
+  // then FlushIfDirty (the server must have the data before the copy leaves),
+  // then DisposeVictim. Policies override those hooks, not this.
   virtual void EvictForInsert(ClientId client);
+
+  // Default: the LRU entry (nullptr if none). Weighted LRU overrides it.
+  virtual CacheEntry* SelectVictim(ClientId client);
+
+  // Disposes of a written-back victim. Default: drops it. Direct spills it
+  // into the private remote cache; N-Chance forwards singlets.
+  virtual void DisposeVictim(ClientId client, CacheEntry& victim);
 
   // Ensures `block` is resident in the server cache (after a disk fetch or
   // a write-through), evicting LRU server blocks as needed through
@@ -131,23 +175,15 @@ class PolicyBase : public Policy {
   // Removes `block` from `client`'s cache and the directory.
   void DropLocal(ClientId client, BlockId block);
 
-  // Delayed writes: if `client`'s copy of `block` is dirty, write it back
-  // to the server now. Call before discarding or forwarding a copy.
+  // Delayed writes: if `client`'s copy of `block` is dirty, write it back to
+  // the server now. Call before dropping a copy outside EvictForInsert.
   void FlushIfDirty(ClientId client, BlockId block);
 
-  // Delayed writes: if another client holds a dirty copy of `block`, the
-  // read must be served from that client (the server's/disk's data is
-  // stale). Policies without general forwarding (Baseline, Direct, Central,
-  // Hash) call this before falling through to disk; returns the outcome of
-  // the client-to-client transfer, or nullopt if no dirty copy exists.
-  // Under write-through this never fires.
-  std::optional<ReadOutcome> MaybeServeFromDirtyHolder(ClientId client, BlockId block);
-
+ private:
   bool delayed_writes() const {
     return ctx_->config().write_policy == WritePolicy::kDelayedWrite;
   }
 
- private:
   // One scheduled write-back.
   struct PendingFlush {
     Micros due;

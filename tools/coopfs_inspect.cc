@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/common/json.h"
 #include "src/common/profiler.h"
@@ -797,9 +798,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (Status status = ParseFlagNumber("--top", argv[++i], &top_n); !status.ok()) {
+        Die(status.ToString());
+      }
     } else if (std::strcmp(argv[i], "--run") == 0 && i + 1 < argc) {
-      run_filter = std::strtol(argv[++i], nullptr, 10);
+      if (Status status = ParseFlagNumber("--run", argv[++i], &run_filter); !status.ok()) {
+        Die(status.ToString());
+      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0) {
