@@ -207,14 +207,6 @@ class FlatHashMap {
       }
     }
   }
-  template <typename Fn>
-  void ForEachMutable(Fn&& fn) {
-    for (std::size_t i = 0; i < dist_.size(); ++i) {
-      if (dist_[i] != 0) {
-        fn(slots_[i].key, slots_[i].value);
-      }
-    }
-  }
 
   FlatMapStats Stats() const {
     FlatMapStats stats;

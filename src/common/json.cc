@@ -1,11 +1,13 @@
 #include "src/common/json.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 namespace coopfs {
 
@@ -526,6 +528,45 @@ const JsonValue* JsonValue::FindString(std::string_view key) const {
 }
 
 Result<JsonValue> ParseJson(std::string_view text) { return JsonParser(text).Parse(); }
+
+Status json_internal::MemberError(std::string_view key, bool present, const std::string& shape) {
+  const std::string name = "'" + std::string(key) + "'";
+  return Status::DataLoss(present ? name + " is not " + shape : "missing " + name);
+}
+
+Status ForEachJsonLine(std::string_view text, std::string_view what,
+                       const std::function<Status(const JsonValue&)>& fn) {
+  std::size_t line_number = 0;
+  std::size_t begin = 0;
+  while (begin <= text.size()) {
+    const std::size_t end = std::min(text.find('\n', begin), text.size());
+    const std::string_view line = text.substr(begin, end - begin);
+    begin = end + 1;
+    ++line_number;
+    if (line.empty()) {
+      continue;
+    }
+    Result<JsonValue> parsed = ParseJson(line);
+    if (Status status = parsed.ok() ? fn(*parsed) : parsed.status(); !status.ok()) {
+      return Status::DataLoss(std::string(what) + " line " + std::to_string(line_number) + ": " +
+                              status.message());
+    }
+  }
+  return Status::Ok();
+}
+
+Result<std::string> ReadTextFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IoError("cannot open '" + path + "'");
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) {
+    return Status::IoError("error reading '" + path + "'");
+  }
+  return std::move(buffer).str();
+}
 
 Status WriteTextFile(const std::string& path, std::string_view content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

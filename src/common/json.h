@@ -11,13 +11,20 @@
 //     serialized documents for bit-for-bit equality.
 //   * JsonValue / ParseJson — a small DOM parser used to validate exported
 //     documents (schema round-trip tests, perf_harness self-checks).
+//   * ReadValue / ReadMembers / RequireMembers — the one checked field
+//     reader every coopfs document parser and validator goes through.
 #ifndef COOPFS_SRC_COMMON_JSON_H_
 #define COOPFS_SRC_COMMON_JSON_H_
 
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -132,8 +139,126 @@ class JsonValue {
 // garbage is an error). Rejects documents nested deeper than 256 levels.
 Result<JsonValue> ParseJson(std::string_view text);
 
+// Parses each non-empty line of `text` as one JSON value and hands it to
+// `fn`. The first failure, a line that does not parse or a Status from `fn`,
+// comes back as kDataLoss "<what> line <N>: ...", lines counted from 1.
+Status ForEachJsonLine(std::string_view text, std::string_view what,
+                       const std::function<Status(const JsonValue&)>& fn);
+
+// Reads the whole file at `path`; kIoError if it cannot be opened or read.
+Result<std::string> ReadTextFile(const std::string& path);
+
 // Writes `content` to `path` with a trailing newline; kIoError on failure.
 Status WriteTextFile(const std::string& path, std::string_view content);
+
+// ---- Checked reading ----
+
+namespace json_internal {
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename U>
+struct IsVector<std::vector<U>> : std::true_type {};
+
+// The shape ReadValue accepts for T, for error messages.
+template <typename T>
+std::string ShapeName() {
+  if constexpr (std::is_same_v<T, bool>) {
+    return "a bool";
+  } else if constexpr (std::is_integral_v<T>) {
+    return "an integer in [" + std::to_string(std::numeric_limits<T>::min()) + ", " +
+           std::to_string(std::numeric_limits<T>::max()) + "]";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return "a number";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return "a string";
+  } else if constexpr (IsVector<T>::value) {
+    return "an array whose items are each " + ShapeName<typename T::value_type>();
+  } else {
+    return "an array of " + std::to_string(std::tuple_size_v<T>) + " valid items";
+  }
+}
+
+Status MemberError(std::string_view key, bool present, const std::string& shape);
+
+}  // namespace json_internal
+
+// Reads `value` into `*out` only in the shape and range of T, so a corrupt
+// document is a Status, never a wrapped id or a crash:
+//
+//   * an integral T (not bool): an integer token within T's range, so a
+//     ClientId, FileId or 8-bit hop count cannot wrap;
+//   * double: any number;
+//   * bool, std::string: a JSON bool, a JSON string;
+//   * std::array<U, N> or std::tuple<U...>: an array of exactly that many
+//     items, each read as its element type;
+//   * std::vector<U>: an array of any length, each item read as U.
+//
+// False on a mismatch, and `*out` may then hold anything.
+template <typename T>
+bool ReadValue(const JsonValue& value, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *out = value.AsBool();
+    return value.is_bool();
+  } else if constexpr (std::is_integral_v<T>) {
+    *out = static_cast<T>(value.AsInt());
+    return value.IsIntegral() && std::in_range<T>(value.AsInt());
+  } else if constexpr (std::is_same_v<T, double>) {
+    *out = value.AsDouble();
+    return value.is_number();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = value.AsString();
+    return value.is_string();
+  } else if constexpr (json_internal::IsVector<T>::value) {
+    out->resize(value.items().size());
+    for (std::size_t i = 0; i < out->size(); ++i) {
+      if (!ReadValue(value.items()[i], &(*out)[i])) {
+        return false;
+      }
+    }
+    return value.is_array();
+  } else {
+    if (!value.is_array() || value.size() != std::tuple_size_v<T>) {
+      return false;
+    }
+    std::size_t i = 0;
+    return std::apply(
+        [&](auto&... items) { return (ReadValue(value.items()[i++], &items) && ...); }, *out);
+  }
+}
+
+// Reads each (key, out) pair of `object` in order. The first member that is
+// missing or fails ReadValue is a kDataLoss naming it and its wanted shape.
+inline Status ReadMembers(const JsonValue& /*object*/) { return Status::Ok(); }
+
+template <typename T, typename... Rest>
+Status ReadMembers(const JsonValue& object, std::string_view key, T* out, Rest... rest) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr || !ReadValue(*value, out)) {
+    return json_internal::MemberError(key, value != nullptr, json_internal::ShapeName<T>());
+  }
+  return ReadMembers(object, rest...);
+}
+
+// ReadMembers for one member that may be absent; then `*out` is left as is.
+template <typename T>
+Status ReadOptionalMember(const JsonValue& object, std::string_view key, T* out) {
+  return object.Find(key) == nullptr ? Status::Ok() : ReadMembers(object, key, out);
+}
+
+// Checks that every key is a member of `object` readable as T. The kDataLoss
+// names `where` and the first bad member.
+template <typename T>
+Status RequireMembers(const JsonValue& object, std::string_view where,
+                      std::initializer_list<std::string_view> keys) {
+  for (const std::string_view key : keys) {
+    T value{};
+    if (Status status = ReadMembers(object, key, &value); !status.ok()) {
+      return Status::DataLoss(std::string(where) + ": " + status.message());
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace coopfs
 

@@ -190,24 +190,18 @@ void WriteNode(JsonWriter& json, const Profiler::Node& node) {
 }
 
 Status ParseNode(const JsonValue& value, Profiler::Node& node) {
-  const JsonValue* name = value.FindString("name");
-  const JsonValue* count = value.FindNumber("count");
-  const JsonValue* total = value.FindNumber("total_ns");
-  const JsonValue* self = value.FindNumber("self_ns");
+  std::uint64_t self_ns = 0;
   const JsonValue* children = value.FindArray("children");
-  if (name == nullptr || count == nullptr || !count->IsIntegral() || count->AsInt() < 0 ||
-      total == nullptr || !total->IsIntegral() || total->AsInt() < 0 || self == nullptr ||
-      !self->IsIntegral() || self->AsInt() < 0 || children == nullptr) {
-    return Status::DataLoss("profile node missing required field");
+  COOPFS_RETURN_IF_ERROR(ReadMembers(value, "name", &node.name, "count", &node.count,
+                                     "total_ns", &node.total_ns, "self_ns", &self_ns));
+  if (children == nullptr) {
+    return Status::DataLoss("profile node '" + node.name + "' missing 'children' array");
   }
-  node.name = name->AsString();
-  node.count = static_cast<std::uint64_t>(count->AsInt());
-  node.total_ns = static_cast<std::uint64_t>(total->AsInt());
   node.children.resize(children->size());
   for (std::size_t i = 0; i < children->size(); ++i) {
     COOPFS_RETURN_IF_ERROR(ParseNode(children->items()[i], node.children[i]));
   }
-  if (static_cast<std::uint64_t>(self->AsInt()) != node.SelfNs()) {
+  if (self_ns != node.SelfNs()) {
     return Status::DataLoss("profile node '" + node.name +
                             "': self_ns inconsistent with total_ns and children");
   }
@@ -233,14 +227,13 @@ std::string ProfileToJson(const std::vector<Profiler::Node>& roots) {
 Result<std::vector<Profiler::Node>> ParseProfileDocument(std::string_view text) {
   Result<JsonValue> parsed = ParseJson(text);
   COOPFS_RETURN_IF_ERROR(parsed.status());
-  const JsonValue* schema = parsed->FindString("schema");
-  if (schema == nullptr || schema->AsString() != kProfileSchema) {
-    return Status::DataLoss("profile document missing schema tag '" +
-                            std::string(kProfileSchema) + "'");
+  std::string schema;
+  COOPFS_RETURN_IF_ERROR(ReadMembers(*parsed, "schema", &schema));
+  if (schema != kProfileSchema) {
+    return Status::DataLoss("unsupported profile schema '" + schema + "'");
   }
-  if (parsed->FindString("coopfs_version") == nullptr) {
-    return Status::DataLoss("profile document missing 'coopfs_version'");
-  }
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<std::string>(*parsed, "profile document", {"coopfs_version"}));
   const JsonValue* roots = parsed->FindArray("roots");
   if (roots == nullptr) {
     return Status::DataLoss("profile document missing 'roots' array");

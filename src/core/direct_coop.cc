@@ -60,17 +60,11 @@ void DirectCoopPolicy::OnClientReboot(ClientId client) {
   remote_caches_[client]->Clear();
 }
 
-void DirectCoopPolicy::OnInvalidateExtra(BlockId block, ClientId writer) {
-  for (std::uint32_t c = 0; c < remote_caches_.size(); ++c) {
-    if (writer != kNoClient && c == writer) {
-      continue;  // The writer's own spilled copy is refreshed below anyway.
-    }
-    remote_caches_[c]->Erase(block);
-  }
-  if (writer != kNoClient) {
-    // Write-through makes the writer's spilled copy stale too; the fresh
-    // data will re-enter its local cache via the normal write path.
-    remote_caches_[writer]->Erase(block);
+void DirectCoopPolicy::OnInvalidateExtra(BlockId block, ClientId /*writer*/) {
+  // Every private copy goes stale, the writer's own spilled copy included:
+  // the fresh data re-enters its local cache through the normal write path.
+  for (const auto& remote : remote_caches_) {
+    remote->Erase(block);
   }
 }
 

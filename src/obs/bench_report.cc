@@ -1,7 +1,5 @@
 #include "src/obs/bench_report.h"
 
-#include <limits>
-
 #include "src/common/build_info.h"
 #include "src/common/json.h"
 #include "src/common/version.h"
@@ -73,150 +71,67 @@ Status BenchReport::WriteFile(const std::string& path) const {
 
 namespace {
 
-// The parser casts count fields to unsigned integers, so each must be an
-// integer token in [0, max] when present: "-1", "1e11" or "0.5" would make
-// that cast undefined or silently wrong.
-Status CheckCount(const JsonValue& object, const char* field, std::uint64_t max,
-                  const std::string& where) {
-  const JsonValue* value = object.Find(field);
-  if (value == nullptr || (value->IsIntegral() && value->AsInt() >= 0 &&
-                           static_cast<std::uint64_t>(value->AsInt()) <= max)) {
-    return Status::Ok();
-  }
-  return Status::DataLoss(where + " field '" + field + "' is not an integer in [0, " +
-                          std::to_string(max) + "]");
-}
-
-constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
-constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
-
-}  // namespace
-
-Status ValidateBenchDocument(std::string_view json) {
-  Result<JsonValue> parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  const JsonValue& root = *parsed;
-  if (!root.is_object()) {
-    return Status::DataLoss("bench document root is not an object");
-  }
-  const JsonValue* schema = root.FindString("schema");
-  if (schema == nullptr) {
-    return Status::DataLoss("bench document missing 'schema'");
-  }
-  if (schema->AsString() != kBenchSchema) {
-    return Status::DataLoss("unsupported bench schema '" + schema->AsString() + "'");
-  }
-  if (root.FindString("suite") == nullptr) {
-    return Status::DataLoss("bench document missing 'suite'");
-  }
-  COOPFS_RETURN_IF_ERROR(CheckCount(root, "host_threads", kMaxU32, "bench document"));
-  const JsonValue* series = root.FindArray("series");
-  if (series == nullptr) {
-    return Status::DataLoss("bench document missing 'series' array");
-  }
-  for (std::size_t i = 0; i < series->items().size(); ++i) {
-    const JsonValue& entry = series->items()[i];
-    const std::string where = "series[" + std::to_string(i) + "]";
-    if (!entry.is_object()) {
-      return Status::DataLoss(where + " is not an object");
+Status ParseSeries(const JsonValue& entry, BenchSeries& series) {
+  COOPFS_RETURN_IF_ERROR(ReadMembers(entry, "name", &series.name, "unit", &series.unit,
+                                     "ops_per_sec", &series.ops_per_sec, "wall_s",
+                                     &series.wall_seconds, "items", &series.items,
+                                     "peak_rss_bytes", &series.peak_rss_bytes));
+  // The spread fields and the latency object are additive: absent is fine
+  // (pre-spread documents, throughput-only series), present must be whole.
+  series.ops_per_sec_min = series.ops_per_sec;
+  series.ops_per_sec_median = series.ops_per_sec;
+  series.ops_per_sec_max = series.ops_per_sec;
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(entry, "iterations", &series.iterations));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(entry, "ops_per_sec_min", &series.ops_per_sec_min));
+  COOPFS_RETURN_IF_ERROR(
+      ReadOptionalMember(entry, "ops_per_sec_median", &series.ops_per_sec_median));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(entry, "ops_per_sec_max", &series.ops_per_sec_max));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(entry, "cv", &series.cv));
+  if (const JsonValue* latency = entry.Find("latency"); latency != nullptr) {
+    if (!latency->is_object()) {
+      return Status::DataLoss("'latency' is not an object");
     }
-    if (entry.FindString("name") == nullptr || entry.FindString("unit") == nullptr) {
-      return Status::DataLoss(where + " missing 'name'/'unit'");
-    }
-    for (const char* field : {"ops_per_sec", "wall_s", "items", "peak_rss_bytes"}) {
-      if (entry.FindNumber(field) == nullptr) {
-        return Status::DataLoss(where + " missing numeric '" + field + "'");
-      }
-    }
-    COOPFS_RETURN_IF_ERROR(CheckCount(entry, "items", kMaxU64, where));
-    COOPFS_RETURN_IF_ERROR(CheckCount(entry, "peak_rss_bytes", kMaxU64, where));
-    COOPFS_RETURN_IF_ERROR(CheckCount(entry, "iterations", kMaxU32, where));
-    // Spread fields are additive: absent is fine (pre-spread documents),
-    // present-but-mistyped is not.
-    for (const char* field :
-         {"iterations", "ops_per_sec_min", "ops_per_sec_median", "ops_per_sec_max", "cv"}) {
-      const JsonValue* value = entry.Find(field);
-      if (value != nullptr && !value->is_number()) {
-        return Status::DataLoss(where + " field '" + field + "' is not a number");
-      }
-    }
-    // The latency object is additive like the spread fields: absent is fine
-    // (throughput-only series), present demands the full numeric shape.
-    if (const JsonValue* latency = entry.Find("latency"); latency != nullptr) {
-      if (!latency->is_object()) {
-        return Status::DataLoss(where + " field 'latency' is not an object");
-      }
-      for (const char* field : {"count", "p50_us", "p90_us", "p95_us", "p99_us",
-                                "p999_us", "mean_us", "min_us", "max_us"}) {
-        if (latency->FindNumber(field) == nullptr) {
-          return Status::DataLoss(where + " latency missing numeric '" + field + "'");
-        }
-      }
-      COOPFS_RETURN_IF_ERROR(CheckCount(*latency, "count", kMaxU64, where + " latency"));
-    }
+    BenchLatency& lat = series.latency.emplace();
+    COOPFS_RETURN_IF_ERROR(ReadMembers(
+        *latency, "count", &lat.count, "p50_us", &lat.p50_us, "p90_us", &lat.p90_us, "p95_us",
+        &lat.p95_us, "p99_us", &lat.p99_us, "p999_us", &lat.p999_us, "mean_us", &lat.mean_us,
+        "min_us", &lat.min_us, "max_us", &lat.max_us));
   }
   return Status::Ok();
 }
 
+}  // namespace
+
+Status ValidateBenchDocument(std::string_view json) { return ParseBenchDocument(json).status(); }
+
 Result<BenchReport> ParseBenchDocument(std::string_view json) {
-  COOPFS_RETURN_IF_ERROR(ValidateBenchDocument(json));
   Result<JsonValue> parsed = ParseJson(json);
   if (!parsed.ok()) {
     return parsed.status();
   }
   const JsonValue& root = *parsed;
   BenchReport report;
-  report.suite = root.FindString("suite")->AsString();
-  if (const JsonValue* host = root.FindNumber("host_threads"); host != nullptr) {
-    report.host_threads = static_cast<std::uint32_t>(host->AsInt());
+  std::string schema;
+  COOPFS_RETURN_IF_ERROR(ReadMembers(root, "schema", &schema, "suite", &report.suite));
+  if (schema != kBenchSchema) {
+    return Status::DataLoss("unsupported bench schema '" + schema + "'");
   }
-  const JsonValue* sha = root.FindString("git_sha");
-  report.git_sha = sha != nullptr ? sha->AsString() : "unknown";
-  const JsonValue* build = root.FindString("build_type");
-  report.build_type = build != nullptr ? build->AsString() : "unknown";
-  for (const JsonValue& entry : root.FindArray("series")->items()) {
-    BenchSeries series;
-    series.name = entry.FindString("name")->AsString();
-    series.unit = entry.FindString("unit")->AsString();
-    series.ops_per_sec = entry.FindNumber("ops_per_sec")->AsDouble();
-    series.wall_seconds = entry.FindNumber("wall_s")->AsDouble();
-    series.items = static_cast<std::uint64_t>(entry.FindNumber("items")->AsInt());
-    series.peak_rss_bytes =
-        static_cast<std::uint64_t>(entry.FindNumber("peak_rss_bytes")->AsInt());
-    if (const JsonValue* iters = entry.FindNumber("iterations"); iters != nullptr) {
-      series.iterations = static_cast<std::uint32_t>(iters->AsInt());
+  // Provenance from before the fields existed reads as "unknown".
+  report.git_sha = "unknown";
+  report.build_type = "unknown";
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(root, "git_sha", &report.git_sha));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(root, "build_type", &report.build_type));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(root, "host_threads", &report.host_threads));
+  const JsonValue* series = root.FindArray("series");
+  if (series == nullptr) {
+    return Status::DataLoss("bench document missing 'series' array");
+  }
+  report.series.resize(series->size());
+  for (std::size_t i = 0; i < series->size(); ++i) {
+    if (Status parsed_series = ParseSeries(series->items()[i], report.series[i]);
+        !parsed_series.ok()) {
+      return Status::DataLoss("series[" + std::to_string(i) + "]: " + parsed_series.message());
     }
-    series.ops_per_sec_min = series.ops_per_sec;
-    series.ops_per_sec_median = series.ops_per_sec;
-    series.ops_per_sec_max = series.ops_per_sec;
-    if (const JsonValue* v = entry.FindNumber("ops_per_sec_min"); v != nullptr) {
-      series.ops_per_sec_min = v->AsDouble();
-    }
-    if (const JsonValue* v = entry.FindNumber("ops_per_sec_median"); v != nullptr) {
-      series.ops_per_sec_median = v->AsDouble();
-    }
-    if (const JsonValue* v = entry.FindNumber("ops_per_sec_max"); v != nullptr) {
-      series.ops_per_sec_max = v->AsDouble();
-    }
-    if (const JsonValue* v = entry.FindNumber("cv"); v != nullptr) {
-      series.cv = v->AsDouble();
-    }
-    if (const JsonValue* latency = entry.Find("latency"); latency != nullptr) {
-      BenchLatency lat;
-      lat.count = static_cast<std::uint64_t>(latency->FindNumber("count")->AsInt());
-      lat.p50_us = latency->FindNumber("p50_us")->AsDouble();
-      lat.p90_us = latency->FindNumber("p90_us")->AsDouble();
-      lat.p95_us = latency->FindNumber("p95_us")->AsDouble();
-      lat.p99_us = latency->FindNumber("p99_us")->AsDouble();
-      lat.p999_us = latency->FindNumber("p999_us")->AsDouble();
-      lat.mean_us = latency->FindNumber("mean_us")->AsDouble();
-      lat.min_us = latency->FindNumber("min_us")->AsDouble();
-      lat.max_us = latency->FindNumber("max_us")->AsDouble();
-      series.latency = lat;
-    }
-    report.series.push_back(std::move(series));
   }
   return report;
 }

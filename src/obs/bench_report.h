@@ -89,14 +89,15 @@ struct BenchReport {
   Status WriteFile(const std::string& path) const;
 };
 
-// Structural validation of a "coopfs.bench/v1" document: schema tag, series
-// array, and per-series required fields. Used by perf_harness after writing
-// (--dry-run included) and by the round-trip tests. `host_threads` is
-// optional (older documents predate it).
+// ParseBenchDocument(json).status(). Used by perf_harness after writing
+// (--dry-run included) and by the round-trip tests.
 Status ValidateBenchDocument(std::string_view json);
 
 // Validates and parses a "coopfs.bench/v1" document back into a BenchReport
-// (tools-side consumption: bench_compare and its gate table).
+// (tools-side consumption: bench_compare and its gate table): schema tag,
+// series array, and per-series required fields, each count within its
+// type. `host_threads`, the provenance strings, the spread fields and the
+// latency object are optional (older documents predate them).
 Result<BenchReport> ParseBenchDocument(std::string_view json);
 
 // Peak resident set size of this process in bytes, or 0 where unsupported.

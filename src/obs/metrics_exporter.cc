@@ -248,19 +248,37 @@ std::string SimulationResultToJson(const SimulationResult& result, MetricsDetail
 
 namespace {
 
+// The sketched top-K entries, with the ids and counts coopfs_inspect reads.
+Status CheckTopEntries(const JsonValue& bounded, const std::string& where) {
+  const JsonValue* blocks = bounded.FindArray("top_blocks");
+  const JsonValue* clients = bounded.FindArray("top_clients");
+  if (blocks == nullptr || clients == nullptr) {
+    return Status::DataLoss(where + " missing array 'top_blocks' or 'top_clients'");
+  }
+  for (std::size_t i = 0; i < blocks->size(); ++i) {
+    const JsonValue& entry = blocks->items()[i];
+    const std::string at = where + ".top_blocks[" + std::to_string(i) + "]";
+    COOPFS_RETURN_IF_ERROR(RequireMembers<FileId>(entry, at, {"file"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<BlockIndex>(entry, at, {"block"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(entry, at, {"reads", "error"}));
+    using LevelCounts = std::array<std::uint64_t, kNumCacheLevels>;
+    COOPFS_RETURN_IF_ERROR(RequireMembers<LevelCounts>(entry, at, {"levels"}));
+  }
+  for (std::size_t i = 0; i < clients->size(); ++i) {
+    const JsonValue& entry = clients->items()[i];
+    const std::string at = where + ".top_clients[" + std::to_string(i) + "]";
+    COOPFS_RETURN_IF_ERROR(RequireMembers<ClientId>(entry, at, {"client"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(entry, at, {"reads", "error"}));
+  }
+  return Status::Ok();
+}
+
 Status CheckResultObject(const JsonValue& result, std::size_t index) {
   const std::string where = "results[" + std::to_string(index) + "]";
-  if (!result.is_object()) {
-    return Status::DataLoss(where + " is not an object");
-  }
-  if (result.FindString("policy") == nullptr) {
-    return Status::DataLoss(where + " missing string field 'policy'");
-  }
-  for (const char* field : {"reads", "avg_read_time_us", "local_miss_rate", "disk_rate"}) {
-    if (result.FindNumber(field) == nullptr) {
-      return Status::DataLoss(where + " missing numeric field '" + field + "'");
-    }
-  }
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::string>(result, where, {"policy"}));
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(result, where, {"reads"}));
+  COOPFS_RETURN_IF_ERROR(RequireMembers<double>(
+      result, where, {"avg_read_time_us", "local_miss_rate", "disk_rate"}));
   const JsonValue* levels = result.FindObject("levels");
   if (levels == nullptr) {
     return Status::DataLoss(where + " missing object field 'levels'");
@@ -270,76 +288,60 @@ Status CheckResultObject(const JsonValue& result, std::size_t index) {
     if (entry == nullptr) {
       return Status::DataLoss(where + ".levels missing '" + level + "'");
     }
-    for (const char* field : {"count", "fraction", "time_us"}) {
-      if (entry->FindNumber(field) == nullptr) {
-        return Status::DataLoss(where + ".levels." + level + " missing numeric '" + field + "'");
-      }
-    }
+    const std::string at = where + ".levels." + level;
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(*entry, at, {"count"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<double>(*entry, at, {"fraction", "time_us"}));
   }
   const JsonValue* load = result.FindObject("server_load");
   if (load == nullptr) {
     return Status::DataLoss(where + " missing object field 'server_load'");
   }
   for (const char* field : kLoadFields) {
-    if (load->FindNumber(field) == nullptr) {
-      return Status::DataLoss(where + ".server_load missing numeric '" + field + "'");
-    }
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(*load, where + ".server_load", {field}));
   }
-  if (load->FindNumber("total_units") == nullptr) {
-    return Status::DataLoss(where + ".server_load missing numeric 'total_units'");
-  }
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<std::uint64_t>(*load, where + ".server_load", {"total_units"}));
   const JsonValue* counters = result.FindObject("counters");
   if (counters == nullptr) {
     return Status::DataLoss(where + " missing object field 'counters'");
   }
-  for (const char* field :
-       {"events_replayed", "remote_forwards", "recirculations", "invalidations",
-        "directory_ops"}) {
-    if (counters->FindNumber(field) == nullptr) {
-      return Status::DataLoss(where + ".counters missing numeric '" + field + "'");
-    }
-  }
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(
+      *counters, where + ".counters",
+      {"events_replayed", "remote_forwards", "recirculations", "invalidations",
+       "directory_ops"}));
   // "bounded" is additive (only kBounded runs carry it), but when present
   // it must be structurally complete.
-  if (const JsonValue* bounded = result.FindObject("bounded"); bounded != nullptr) {
-    for (const char* field : {"top_k", "counted_reads", "memory_bytes"}) {
-      if (bounded->FindNumber(field) == nullptr) {
-        return Status::DataLoss(where + ".bounded missing numeric '" + field + "'");
-      }
-    }
-    for (const char* field : {"top_blocks", "top_clients"}) {
-      if (bounded->FindArray(field) == nullptr) {
-        return Status::DataLoss(where + ".bounded missing array '" + field + "'");
-      }
-    }
-    const JsonValue* latency = bounded->FindObject("latency");
-    if (latency == nullptr) {
-      return Status::DataLoss(where + ".bounded missing object 'latency'");
-    }
-    for (const char* field :
-         {"samples", "reservoir_capacity", "p50_us", "p90_us", "p99_us", "mean_us", "min_us",
-          "max_us"}) {
-      if (latency->FindNumber(field) == nullptr) {
-        return Status::DataLoss(where + ".bounded.latency missing numeric '" + field + "'");
-      }
-    }
-    // p999_us is additive: absent is fine (pre-p999 documents), present
-    // demands a number.
-    if (const JsonValue* p999 = latency->Find("p999_us");
-        p999 != nullptr && !p999->is_number()) {
-      return Status::DataLoss(where + ".bounded.latency field 'p999_us' is not a number");
-    }
-    const JsonValue* fairness = bounded->FindObject("fairness");
-    if (fairness == nullptr) {
-      return Status::DataLoss(where + ".bounded missing object 'fairness'");
-    }
-    for (const char* field : {"top_client_share", "cov_reads_per_client", "gini_read_latency"}) {
-      if (fairness->FindNumber(field) == nullptr) {
-        return Status::DataLoss(where + ".bounded.fairness missing numeric '" + field + "'");
-      }
-    }
+  const JsonValue* bounded = result.FindObject("bounded");
+  if (bounded == nullptr) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  const std::string at = where + ".bounded";
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint32_t>(*bounded, at, {"top_k"}));
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<std::uint64_t>(*bounded, at, {"counted_reads", "memory_bytes"}));
+  COOPFS_RETURN_IF_ERROR(CheckTopEntries(*bounded, at));
+  const JsonValue* latency = bounded->FindObject("latency");
+  if (latency == nullptr) {
+    return Status::DataLoss(at + " missing object 'latency'");
+  }
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(*latency, at + ".latency", {"samples"}));
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<std::uint32_t>(*latency, at + ".latency", {"reservoir_capacity"}));
+  COOPFS_RETURN_IF_ERROR(RequireMembers<double>(
+      *latency, at + ".latency", {"p50_us", "p90_us", "p99_us", "mean_us", "min_us", "max_us"}));
+  // p999_us is additive: absent is fine (pre-p999 documents), present
+  // demands a number.
+  double p999 = 0.0;
+  if (Status status = ReadOptionalMember(*latency, "p999_us", &p999); !status.ok()) {
+    return Status::DataLoss(at + ".latency: " + status.message());
+  }
+  const JsonValue* fairness = bounded->FindObject("fairness");
+  if (fairness == nullptr) {
+    return Status::DataLoss(at + " missing object 'fairness'");
+  }
+  return RequireMembers<double>(
+      *fairness, at + ".fairness",
+      {"top_client_share", "cov_reads_per_client", "gini_read_latency"});
 }
 
 }  // namespace
@@ -350,15 +352,10 @@ Status ValidateMetricsDocument(std::string_view json) {
     return parsed.status();
   }
   const JsonValue& root = *parsed;
-  if (!root.is_object()) {
-    return Status::DataLoss("metrics document root is not an object");
-  }
-  const JsonValue* schema = root.FindString("schema");
-  if (schema == nullptr) {
-    return Status::DataLoss("metrics document missing 'schema'");
-  }
-  if (schema->AsString() != kMetricsSchema) {
-    return Status::DataLoss("unsupported metrics schema '" + schema->AsString() + "'");
+  std::string schema;
+  COOPFS_RETURN_IF_ERROR(ReadMembers(root, "schema", &schema));
+  if (schema != kMetricsSchema) {
+    return Status::DataLoss("unsupported metrics schema '" + schema + "'");
   }
   const JsonValue* results = root.FindArray("results");
   if (results == nullptr) {

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "src/common/format.h"
@@ -96,37 +94,6 @@ void WriteSideJson(JsonWriter& json, const char* key, const DiffSide& side) {
   json.Key("build_type").Value(side.build_type);
   json.Key("host_threads").Value(static_cast<std::uint64_t>(side.host_threads));
   json.EndObject();
-}
-
-Status CheckSideObject(const JsonValue& root, const char* key) {
-  const JsonValue* side = root.FindObject(key);
-  if (side == nullptr) {
-    return Status::DataLoss(std::string("diff document missing object '") + key + "'");
-  }
-  for (const char* field : {"label", "git_sha", "build_type"}) {
-    if (side->FindString(field) == nullptr) {
-      return Status::DataLoss(std::string("diff document '") + key +
-                              "' missing string '" + field + "'");
-    }
-  }
-  if (side->FindNumber("host_threads") == nullptr) {
-    return Status::DataLoss(std::string("diff document '") + key +
-                            "' missing numeric 'host_threads'");
-  }
-  return Status::Ok();
-}
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("error reading '" + path + "'");
-  }
-  return std::move(buffer).str();
 }
 
 // First JSON line of a JSONL document (for schema sniffing when the file is
@@ -225,31 +192,30 @@ Status ValidateDiffDocument(std::string_view json) {
     return parsed.status();
   }
   const JsonValue& root = *parsed;
-  if (!root.is_object()) {
-    return Status::DataLoss("diff document root is not an object");
+  std::string schema;
+  std::string kind;
+  COOPFS_RETURN_IF_ERROR(ReadMembers(root, "schema", &schema, "kind", &kind));
+  if (schema != kDiffSchema) {
+    return Status::DataLoss("unsupported diff schema '" + schema + "'");
   }
-  const JsonValue* schema = root.FindString("schema");
-  if (schema == nullptr) {
-    return Status::DataLoss("diff document missing 'schema'");
+  if (DiffDocKind parsed_kind; !DiffDocKindFromName(kind, parsed_kind)) {
+    return Status::DataLoss("diff document has unknown 'kind' '" + kind + "'");
   }
-  if (schema->AsString() != kDiffSchema) {
-    return Status::DataLoss("unsupported diff schema '" + schema->AsString() + "'");
+  for (const char* key : {"baseline", "candidate"}) {
+    const JsonValue* side = root.FindObject(key);
+    if (side == nullptr) {
+      return Status::DataLoss(std::string("diff document missing object '") + key + "'");
+    }
+    const std::string where = std::string("diff document '") + key + "'";
+    COOPFS_RETURN_IF_ERROR(
+        RequireMembers<std::string>(*side, where, {"label", "git_sha", "build_type"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint32_t>(*side, where, {"host_threads"}));
   }
-  const JsonValue* kind = root.FindString("kind");
-  DiffDocKind parsed_kind;
-  if (kind == nullptr || !DiffDocKindFromName(kind->AsString(), parsed_kind)) {
-    return Status::DataLoss("diff document missing or invalid 'kind'");
-  }
-  COOPFS_RETURN_IF_ERROR(CheckSideObject(root, "baseline"));
-  COOPFS_RETURN_IF_ERROR(CheckSideObject(root, "candidate"));
   if (root.FindObject("options") == nullptr) {
     return Status::DataLoss("diff document missing object 'options'");
   }
-  for (const char* field : {"compared", "unmatched_baseline", "unmatched_candidate"}) {
-    if (root.FindNumber(field) == nullptr) {
-      return Status::DataLoss(std::string("diff document missing numeric '") + field + "'");
-    }
-  }
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(
+      root, "diff document", {"compared", "unmatched_baseline", "unmatched_candidate"}));
   const JsonValue* findings = root.FindArray("findings");
   if (findings == nullptr) {
     return Status::DataLoss("diff document missing 'findings' array");
@@ -257,23 +223,11 @@ Status ValidateDiffDocument(std::string_view json) {
   for (std::size_t i = 0; i < findings->items().size(); ++i) {
     const JsonValue& entry = findings->items()[i];
     const std::string where = "findings[" + std::to_string(i) + "]";
-    if (!entry.is_object()) {
-      return Status::DataLoss(where + " is not an object");
-    }
-    for (const char* field : {"kind", "name", "metric", "note"}) {
-      if (entry.FindString(field) == nullptr) {
-        return Status::DataLoss(where + " missing string '" + field + "'");
-      }
-    }
-    for (const char* field : {"baseline", "candidate", "delta_pct", "noise_cv"}) {
-      if (entry.FindNumber(field) == nullptr) {
-        return Status::DataLoss(where + " missing numeric '" + field + "'");
-      }
-    }
-    const JsonValue* regression = entry.Find("regression");
-    if (regression == nullptr || !regression->is_bool()) {
-      return Status::DataLoss(where + " missing boolean 'regression'");
-    }
+    COOPFS_RETURN_IF_ERROR(
+        RequireMembers<std::string>(entry, where, {"kind", "name", "metric", "note"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<double>(
+        entry, where, {"baseline", "candidate", "delta_pct", "noise_cv"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<bool>(entry, where, {"regression"}));
   }
   return Status::Ok();
 }
@@ -491,11 +445,11 @@ DiffReport DiffMetricsDocuments(const JsonValue& baseline, const JsonValue& cand
 Result<DiffReport> DiffDocumentFiles(const std::string& baseline_path,
                                      const std::string& candidate_path,
                                      const DiffOptions& options) {
-  Result<std::string> base_text = ReadFileToString(baseline_path);
+  Result<std::string> base_text = ReadTextFile(baseline_path);
   if (!base_text.ok()) {
     return base_text.status();
   }
-  Result<std::string> cand_text = ReadFileToString(candidate_path);
+  Result<std::string> cand_text = ReadTextFile(candidate_path);
   if (!cand_text.ok()) {
     return cand_text.status();
   }

@@ -60,69 +60,45 @@ Status ValidateRunManifestDocument(std::string_view json) {
     return parsed.status();
   }
   const JsonValue& root = *parsed;
-  if (!root.is_object()) {
-    return Status::DataLoss("run manifest root is not an object");
+  std::string schema;
+  COOPFS_RETURN_IF_ERROR(ReadMembers(root, "schema", &schema));
+  if (schema != kRunManifestSchema) {
+    return Status::DataLoss("unsupported run manifest schema '" + schema + "'");
   }
-  const JsonValue* schema = root.FindString("schema");
-  if (schema == nullptr) {
-    return Status::DataLoss("run manifest missing 'schema'");
-  }
-  if (schema->AsString() != kRunManifestSchema) {
-    return Status::DataLoss("unsupported run manifest schema '" + schema->AsString() + "'");
-  }
-  for (const char* field : {"coopfs_version", "experiment", "title", "description", "command"}) {
-    if (root.FindString(field) == nullptr) {
-      return Status::DataLoss(std::string("run manifest missing string field '") + field + "'");
-    }
-  }
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::string>(
+      root, "run manifest", {"coopfs_version", "experiment", "title", "description", "command"}));
   if (root.FindString("experiment")->AsString().empty()) {
     return Status::DataLoss("run manifest 'experiment' is empty");
   }
-  const JsonValue* workloads = root.FindArray("workloads");
-  if (workloads == nullptr) {
-    return Status::DataLoss("run manifest missing 'workloads' array");
-  }
-  for (const JsonValue& workload : workloads->items()) {
-    if (!workload.is_string()) {
-      return Status::DataLoss("run manifest 'workloads' entries must be strings");
-    }
-  }
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<std::vector<std::string>>(root, "run manifest", {"workloads"}));
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<std::uint64_t>(root, "run manifest", {"num_results", "threads"}));
+  COOPFS_RETURN_IF_ERROR(RequireMembers<double>(root, "run manifest", {"wall_time_s"}));
   const JsonValue* options = root.FindObject("options");
   if (options == nullptr) {
     return Status::DataLoss("run manifest missing 'options' object");
   }
-  for (const char* field : {"events", "seed", "auspex_events", "sample_interval_us"}) {
-    if (options->FindNumber(field) == nullptr) {
-      return Status::DataLoss(std::string("run manifest options missing numeric '") + field +
-                              "'");
-    }
-  }
+  COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(*options, "run manifest options",
+                                                       {"events", "seed", "auspex_events"}));
+  COOPFS_RETURN_IF_ERROR(
+      RequireMembers<Micros>(*options, "run manifest options", {"sample_interval_us"}));
   const JsonValue* configs = root.FindArray("configs");
   if (configs == nullptr) {
     return Status::DataLoss("run manifest missing 'configs' array");
   }
   for (std::size_t i = 0; i < configs->items().size(); ++i) {
     const JsonValue& config = configs->items()[i];
-    const std::string where = "configs[" + std::to_string(i) + "]";
-    if (!config.is_object()) {
-      return Status::DataLoss("run manifest " + where + " is not an object");
-    }
-    for (const char* field : {"client_cache_blocks", "server_cache_blocks", "block_size_bytes",
-                              "num_servers", "num_clients", "warmup_events", "seed"}) {
-      if (config.FindNumber(field) == nullptr) {
-        return Status::DataLoss("run manifest " + where + " missing numeric '" + field + "'");
-      }
-    }
-    if (config.FindString("write_policy") == nullptr) {
-      return Status::DataLoss("run manifest " + where + " missing string 'write_policy'");
-    }
+    const std::string where = "run manifest configs[" + std::to_string(i) + "]";
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::uint64_t>(
+        config, where,
+        {"client_cache_blocks", "server_cache_blocks", "block_size_bytes", "warmup_events",
+         "seed"}));
+    COOPFS_RETURN_IF_ERROR(
+        RequireMembers<std::uint32_t>(config, where, {"num_servers", "num_clients"}));
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::string>(config, where, {"write_policy"}));
     if (config.FindObject("network") == nullptr) {
-      return Status::DataLoss("run manifest " + where + " missing object 'network'");
-    }
-  }
-  for (const char* field : {"num_results", "threads", "wall_time_s"}) {
-    if (root.FindNumber(field) == nullptr) {
-      return Status::DataLoss(std::string("run manifest missing numeric '") + field + "'");
+      return Status::DataLoss(where + " missing object 'network'");
     }
   }
   const JsonValue* exports = root.FindArray("exports");
@@ -131,17 +107,10 @@ Status ValidateRunManifestDocument(std::string_view json) {
   }
   for (std::size_t i = 0; i < exports->items().size(); ++i) {
     const JsonValue& entry = exports->items()[i];
-    const std::string where = "exports[" + std::to_string(i) + "]";
-    if (!entry.is_object()) {
-      return Status::DataLoss("run manifest " + where + " is not an object");
-    }
-    for (const char* field : {"kind", "schema", "path"}) {
-      if (entry.FindString(field) == nullptr) {
-        return Status::DataLoss("run manifest " + where + " missing string '" + field + "'");
-      }
-    }
+    const std::string where = "run manifest exports[" + std::to_string(i) + "]";
+    COOPFS_RETURN_IF_ERROR(RequireMembers<std::string>(entry, where, {"kind", "schema", "path"}));
     if (entry.FindString("path")->AsString().empty()) {
-      return Status::DataLoss("run manifest " + where + " has an empty path");
+      return Status::DataLoss(where + " has an empty path");
     }
   }
   return Status::Ok();

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 #include "src/common/json.h"
-#include "src/common/version.h"
 
 namespace coopfs {
 
@@ -176,13 +176,6 @@ void SnapshotSampler::Emit(SampleTrigger trigger, Micros time, const StateProbe&
 
 namespace {
 
-void AppendLine(std::string& out, const JsonWriter& json) {
-  if (!out.empty()) {
-    out += '\n';
-  }
-  out += json.str();
-}
-
 void WriteSampleLine(std::string& out, std::size_t run_index, const StateSample& sample) {
   JsonWriter json;
   json.BeginObject();
@@ -238,7 +231,7 @@ void WriteSampleLine(std::string& out, std::size_t run_index, const StateSample&
     json.EndArray();
   }
   json.EndObject();
-  AppendLine(out, json);
+  AppendJsonlLine(out, json);
 }
 
 }  // namespace
@@ -246,23 +239,7 @@ void WriteSampleLine(std::string& out, std::size_t run_index, const StateSample&
 std::string TimeseriesToJsonl(const std::vector<SnapshotRun>& runs,
                               const TraceExportMetadata& metadata) {
   std::string out;
-  {
-    JsonWriter json;
-    json.BeginObject();
-    json.Key("type").Value("header");
-    json.Key("schema").Value(kTimeseriesSchema);
-    json.Key("coopfs_version").Value(kVersionString);
-    json.Key("seed").Value(metadata.seed);
-    json.Key("trace_events").Value(metadata.trace_events);
-    if (!metadata.workload.empty()) {
-      json.Key("workload").Value(metadata.workload);
-    }
-    if (metadata.per_client_ceiling > 0) {
-      json.Key("per_client_ceiling").Value(static_cast<std::uint64_t>(metadata.per_client_ceiling));
-    }
-    json.EndObject();
-    AppendLine(out, json);
-  }
+  AppendJsonlHeader(out, kTimeseriesSchema, metadata);
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const SnapshotRun& run = runs[r];
     {
@@ -276,7 +253,7 @@ std::string TimeseriesToJsonl(const std::vector<SnapshotRun>& runs,
       json.Key("start_ts").Value(static_cast<std::int64_t>(run.start_time));
       json.Key("per_client").Value(PerClientModeName(run.per_client_mode));
       json.EndObject();
-      AppendLine(out, json);
+      AppendJsonlLine(out, json);
     }
     for (const StateSample& sample : run.samples) {
       WriteSampleLine(out, r, sample);
@@ -296,140 +273,45 @@ Status WriteTimeseriesJsonl(const std::vector<SnapshotRun>& runs,
 
 namespace {
 
-Status LineError(std::size_t line_number, const std::string& message) {
-  return Status::DataLoss("timeseries line " + std::to_string(line_number) + ": " + message);
-}
-
-// Fetches a required non-negative integral field.
-bool GetUint(const JsonValue& value, std::string_view key, std::uint64_t& out) {
-  const JsonValue* field = value.FindNumber(key);
-  if (field == nullptr || !field->IsIntegral() || field->AsInt() < 0) {
-    return false;
-  }
-  out = static_cast<std::uint64_t>(field->AsInt());
-  return true;
-}
-
-// Fetches a fixed-length array of non-negative integers.
-template <std::size_t N>
-bool GetUintArray(const JsonValue& value, std::string_view key,
-                  std::array<std::uint64_t, N>& out) {
-  const JsonValue* field = value.FindArray(key);
-  if (field == nullptr || field->size() != N) {
-    return false;
-  }
-  for (std::size_t i = 0; i < N; ++i) {
-    const JsonValue& item = field->items()[i];
-    if (!item.IsIntegral() || item.AsInt() < 0) {
-      return false;
-    }
-    out[i] = static_cast<std::uint64_t>(item.AsInt());
-  }
-  return true;
-}
-
-Status ParseSampleLine(const JsonValue& value, std::size_t line_number, SnapshotRun& run) {
+Status ParseSampleLine(const JsonValue& line, SnapshotRun& run) {
   StateSample sample;
-  std::uint64_t index = 0;
-  if (!GetUint(value, "i", index) || !GetUint(value, "events", sample.events_replayed) ||
-      !GetUint(value, "reads", sample.window_reads)) {
-    return LineError(line_number, "sample missing integral field");
-  }
-  if (index != run.samples.size()) {
-    return LineError(line_number, "sample index out of order");
-  }
-  sample.index = index;
-  const JsonValue* trigger = value.FindString("trigger");
-  if (trigger == nullptr || !SampleTriggerFromName(trigger->AsString(), sample.trigger)) {
-    return LineError(line_number, "sample has unknown 'trigger'");
-  }
-  const JsonValue* ts = value.FindNumber("ts");
-  if (ts == nullptr || !ts->IsIntegral()) {
-    return LineError(line_number, "sample missing 'ts'");
-  }
-  sample.time = ts->AsInt();
-  if (!GetUintArray(value, "counted", sample.level_reads)) {
-    return LineError(line_number, "sample 'counted' must have one entry per cache level");
-  }
-  const JsonValue* times = value.FindArray("time_us");
-  if (times == nullptr || times->size() != kNumCacheLevels) {
-    return LineError(line_number, "sample 'time_us' must have one entry per cache level");
-  }
-  for (std::size_t i = 0; i < kNumCacheLevels; ++i) {
-    const JsonValue& item = times->items()[i];
-    if (!item.is_number()) {
-      return LineError(line_number, "sample 'time_us' entries must be numbers");
-    }
-    sample.level_time_us[i] = item.AsDouble();
-  }
+  StateProbe& state = sample.state;
+  std::string trigger;
   std::array<std::uint64_t, 2> client_blocks{};
   std::array<std::uint64_t, 2> server_blocks{};
-  if (!GetUintArray(value, "client_blocks", client_blocks) ||
-      !GetUintArray(value, "server_blocks", server_blocks)) {
-    return LineError(line_number, "sample missing occupancy pair");
+  COOPFS_RETURN_IF_ERROR(ReadMembers(
+      line, "i", &sample.index, "trigger", &trigger, "ts", &sample.time, "events",
+      &sample.events_replayed, "reads", &sample.window_reads, "counted", &sample.level_reads,
+      "time_us", &sample.level_time_us, "client_blocks", &client_blocks, "server_blocks",
+      &server_blocks, "dir_blocks", &state.directory_blocks, "singlets", &state.singlet_blocks,
+      "duplicates", &state.duplicate_blocks, "recirc", &state.recirculating_copies, "dirty",
+      &state.dirty_blocks, "load", &state.load_units));
+  if (sample.index != run.samples.size()) {
+    return Status::DataLoss("sample index out of order");
   }
-  sample.state.client_blocks_used = client_blocks[0];
-  sample.state.client_blocks_capacity = client_blocks[1];
-  sample.state.server_blocks_used = server_blocks[0];
-  sample.state.server_blocks_capacity = server_blocks[1];
-  if (!GetUint(value, "dir_blocks", sample.state.directory_blocks) ||
-      !GetUint(value, "singlets", sample.state.singlet_blocks) ||
-      !GetUint(value, "duplicates", sample.state.duplicate_blocks) ||
-      !GetUint(value, "recirc", sample.state.recirculating_copies) ||
-      !GetUint(value, "dirty", sample.state.dirty_blocks)) {
-    return LineError(line_number, "sample missing state gauge");
+  if (!SampleTriggerFromName(trigger, sample.trigger)) {
+    return Status::DataLoss("sample has unknown 'trigger'");
   }
-  if (sample.state.singlet_blocks + sample.state.duplicate_blocks !=
-      sample.state.directory_blocks) {
-    return LineError(line_number, "singlets + duplicates != dir_blocks");
-  }
-  if (!GetUintArray(value, "load", sample.state.load_units)) {
-    return LineError(line_number, "sample 'load' must have one entry per load kind");
+  state.client_blocks_used = client_blocks[0];
+  state.client_blocks_capacity = client_blocks[1];
+  state.server_blocks_used = server_blocks[0];
+  state.server_blocks_capacity = server_blocks[1];
+  if (state.singlet_blocks + state.duplicate_blocks != state.directory_blocks) {
+    return Status::DataLoss("singlets + duplicates != dir_blocks");
   }
   if (sample.CountedReads() > sample.window_reads) {
-    return LineError(line_number, "counted reads exceed window reads");
+    return Status::DataLoss("counted reads exceed window reads");
   }
-  if (const JsonValue* clients = value.FindArray("clients"); clients != nullptr) {
-    sample.clients.reserve(clients->size());
-    for (const JsonValue& entry : clients->items()) {
-      if (!entry.is_array() || entry.size() != 3) {
-        return LineError(line_number, "client entries must be [reads, donated, benefited]");
-      }
-      ClientWindowStats stats;
-      for (std::size_t i = 0; i < 3; ++i) {
-        const JsonValue& item = entry.items()[i];
-        if (!item.IsIntegral() || item.AsInt() < 0) {
-          return LineError(line_number, "client entries must be non-negative integers");
-        }
-        (i == 0 ? stats.reads : i == 1 ? stats.donated : stats.benefited) =
-            static_cast<std::uint64_t>(item.AsInt());
-      }
-      sample.clients.push_back(stats);
-    }
+  // [reads, donated, benefited] and [client, reads, error] triplets.
+  std::vector<std::array<std::uint64_t, 3>> clients;
+  std::vector<std::tuple<ClientId, std::uint64_t, std::uint64_t>> tops;
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "clients", &clients));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "top_clients", &tops));
+  for (const auto& [reads, donated, benefited] : clients) {
+    sample.clients.push_back(ClientWindowStats{reads, donated, benefited});
   }
-  if (const JsonValue* tops = value.FindArray("top_clients"); tops != nullptr) {
-    sample.top_clients.reserve(tops->size());
-    for (const JsonValue& entry : tops->items()) {
-      if (!entry.is_array() || entry.size() != 3) {
-        return LineError(line_number, "top_clients entries must be [client, reads, error]");
-      }
-      WindowTopClient top;
-      for (std::size_t i = 0; i < 3; ++i) {
-        const JsonValue& item = entry.items()[i];
-        if (!item.IsIntegral() || item.AsInt() < 0) {
-          return LineError(line_number, "top_clients entries must be non-negative integers");
-        }
-        const auto raw = static_cast<std::uint64_t>(item.AsInt());
-        if (i == 0) {
-          top.client = static_cast<ClientId>(raw);
-        } else if (i == 1) {
-          top.reads = raw;
-        } else {
-          top.error = raw;
-        }
-      }
-      sample.top_clients.push_back(top);
-    }
+  for (const auto& [client, reads, error] : tops) {
+    sample.top_clients.push_back(WindowTopClient{client, reads, error});
   }
   run.samples.push_back(std::move(sample));
   return Status::Ok();
@@ -439,103 +321,32 @@ Status ParseSampleLine(const JsonValue& value, std::size_t line_number, Snapshot
 
 Result<TimeseriesDocument> ParseTimeseriesJsonl(std::string_view text) {
   TimeseriesDocument document;
-  bool saw_header = false;
-  std::size_t line_number = 0;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    std::size_t end = text.find('\n', begin);
-    if (end == std::string_view::npos) {
-      end = text.size();
-    }
-    const std::string_view line = text.substr(begin, end - begin);
-    begin = end + 1;
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    Result<JsonValue> parsed = ParseJson(line);
-    if (!parsed.ok()) {
-      return LineError(line_number, parsed.status().ToString());
-    }
-    const JsonValue* type = parsed->FindString("type");
-    if (type == nullptr) {
-      return LineError(line_number, "missing 'type'");
-    }
-    if (type->AsString() == "header") {
-      if (saw_header) {
-        return LineError(line_number, "duplicate header");
-      }
-      const JsonValue* schema = parsed->FindString("schema");
-      if (schema == nullptr || schema->AsString() != kTimeseriesSchema) {
-        return LineError(line_number, "missing schema tag '" + std::string(kTimeseriesSchema) +
-                                          "'");
-      }
-      const JsonValue* version = parsed->FindString("coopfs_version");
-      if (version == nullptr || !GetUint(*parsed, "seed", document.metadata.seed) ||
-          !GetUint(*parsed, "trace_events", document.metadata.trace_events)) {
-        return LineError(line_number, "header missing version/seed/trace_events");
-      }
-      document.coopfs_version = version->AsString();
-      if (const JsonValue* workload = parsed->FindString("workload"); workload != nullptr) {
-        document.metadata.workload = workload->AsString();
-      }
-      if (const JsonValue* ceiling = parsed->FindNumber("per_client_ceiling");
-          ceiling != nullptr) {
-        if (!ceiling->IsIntegral() || ceiling->AsInt() < 0) {
-          return LineError(line_number, "header 'per_client_ceiling' must be non-negative");
+  Status status = ParseJsonlRuns(
+      text, kTimeseriesSchema, "timeseries", document.coopfs_version, document.metadata,
+      [&document](const JsonValue& line) -> Status {
+        SnapshotRun& run = document.runs.emplace_back();
+        // "per_client" is additive; documents written before it default to full.
+        std::string mode = PerClientModeName(PerClientMode::kFull);
+        COOPFS_RETURN_IF_ERROR(ReadMembers(line, "policy", &run.policy, "num_clients",
+                                           &run.num_clients, "interval_us", &run.interval,
+                                           "start_ts", &run.start_time));
+        COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "per_client", &mode));
+        if (run.interval < 0) {
+          return Status::DataLoss("run has negative 'interval_us'");
         }
-        document.metadata.per_client_ceiling = static_cast<std::uint32_t>(ceiling->AsInt());
-      }
-      saw_header = true;
-      continue;
-    }
-    if (!saw_header) {
-      return LineError(line_number, "document must start with a header line");
-    }
-    std::uint64_t run_index = 0;
-    if (!GetUint(*parsed, "run", run_index)) {
-      return LineError(line_number, "missing 'run'");
-    }
-    if (type->AsString() == "run") {
-      if (run_index != document.runs.size()) {
-        return LineError(line_number, "run index out of order");
-      }
-      SnapshotRun run;
-      const JsonValue* policy = parsed->FindString("policy");
-      std::uint64_t num_clients = 0;
-      if (policy == nullptr || !GetUint(*parsed, "num_clients", num_clients)) {
-        return LineError(line_number, "run missing 'policy' or 'num_clients'");
-      }
-      const JsonValue* interval = parsed->FindNumber("interval_us");
-      const JsonValue* start = parsed->FindNumber("start_ts");
-      if (interval == nullptr || !interval->IsIntegral() || interval->AsInt() < 0 ||
-          start == nullptr || !start->IsIntegral()) {
-        return LineError(line_number, "run missing 'interval_us' or 'start_ts'");
-      }
-      run.policy = policy->AsString();
-      run.num_clients = static_cast<std::uint32_t>(num_clients);
-      run.interval = interval->AsInt();
-      run.start_time = start->AsInt();
-      // "per_client" is additive; documents written before it default to full.
-      if (const JsonValue* mode = parsed->FindString("per_client"); mode != nullptr) {
-        if (!PerClientModeFromName(mode->AsString(), run.per_client_mode)) {
-          return LineError(line_number, "run has unknown 'per_client' mode");
+        if (!PerClientModeFromName(mode, run.per_client_mode)) {
+          return Status::DataLoss("run has unknown 'per_client' mode");
         }
-      }
-      document.runs.push_back(std::move(run));
-      continue;
-    }
-    if (type->AsString() == "sample") {
-      if (document.runs.empty() || run_index != document.runs.size() - 1) {
-        return LineError(line_number, "sample outside its run");
-      }
-      COOPFS_RETURN_IF_ERROR(ParseSampleLine(*parsed, line_number, document.runs.back()));
-      continue;
-    }
-    return LineError(line_number, "unknown line type '" + type->AsString() + "'");
-  }
-  if (!saw_header) {
-    return Status::DataLoss("timeseries document has no header line");
+        return Status::Ok();
+      },
+      [&document](const std::string& type, const JsonValue& line) {
+        if (type != "sample") {
+          return Status::DataLoss("unknown line type '" + type + "'");
+        }
+        return ParseSampleLine(line, document.runs.back());
+      });
+  if (!status.ok()) {
+    return status;
   }
   return document;
 }

@@ -37,6 +37,83 @@ bool CacheLevelFromSchemaName(std::string_view name, CacheLevel& level) {
   return false;
 }
 
+void AppendJsonlLine(std::string& out, const JsonWriter& json) {
+  if (!out.empty()) {
+    out += '\n';
+  }
+  out += json.str();
+}
+
+void AppendJsonlHeader(std::string& out, std::string_view schema,
+                       const TraceExportMetadata& metadata) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("type").Value("header");
+  json.Key("schema").Value(schema);
+  json.Key("coopfs_version").Value(kVersionString);
+  json.Key("seed").Value(metadata.seed);
+  json.Key("trace_events").Value(metadata.trace_events);
+  if (!metadata.workload.empty()) {
+    json.Key("workload").Value(metadata.workload);
+  }
+  if (metadata.per_client_ceiling > 0) {
+    json.Key("per_client_ceiling").Value(static_cast<std::uint64_t>(metadata.per_client_ceiling));
+  }
+  json.EndObject();
+  AppendJsonlLine(out, json);
+}
+
+Status ParseJsonlRuns(
+    std::string_view text, std::string_view schema, std::string_view what,
+    std::string& coopfs_version, TraceExportMetadata& metadata,
+    const std::function<Status(const JsonValue&)>& on_run,
+    const std::function<Status(const std::string& type, const JsonValue&)>& on_record) {
+  bool saw_header = false;
+  std::uint64_t runs = 0;
+  Status status = ForEachJsonLine(text, what, [&](const JsonValue& line) -> Status {
+    std::string type;
+    COOPFS_RETURN_IF_ERROR(ReadMembers(line, "type", &type));
+    if (type == "header") {
+      if (saw_header) {
+        return Status::DataLoss("duplicate header");
+      }
+      std::string tag;
+      COOPFS_RETURN_IF_ERROR(ReadMembers(line, "schema", &tag));
+      if (tag != schema) {
+        return Status::DataLoss("unsupported schema '" + tag + "'");
+      }
+      COOPFS_RETURN_IF_ERROR(ReadMembers(line, "coopfs_version", &coopfs_version, "seed",
+                                         &metadata.seed, "trace_events",
+                                         &metadata.trace_events));
+      COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "workload", &metadata.workload));
+      COOPFS_RETURN_IF_ERROR(
+          ReadOptionalMember(line, "per_client_ceiling", &metadata.per_client_ceiling));
+      saw_header = true;
+      return Status::Ok();
+    }
+    if (!saw_header) {
+      return Status::DataLoss("first line must be the header");
+    }
+    std::uint64_t run = 0;
+    COOPFS_RETURN_IF_ERROR(ReadMembers(line, "run", &run));
+    if (type == "run") {
+      if (run != runs) {
+        return Status::DataLoss("run index out of order");
+      }
+      ++runs;
+      return on_run(line);
+    }
+    if (runs == 0 || run != runs - 1) {
+      return Status::DataLoss("record outside its run");
+    }
+    return on_record(type, line);
+  });
+  if (status.ok() && !saw_header) {
+    return Status::DataLoss(std::string(what) + " document has no header line");
+  }
+  return status;
+}
+
 namespace {
 
 bool OpKindFromTypeName(std::string_view name, TraceOpKind& kind) {
@@ -47,13 +124,6 @@ bool OpKindFromTypeName(std::string_view name, TraceOpKind& kind) {
     }
   }
   return false;
-}
-
-void AppendLine(std::string& out, const JsonWriter& json) {
-  if (!out.empty()) {
-    out += '\n';
-  }
-  out += json.str();
 }
 
 void WriteReadLine(std::string& out, std::size_t run_index, const ReadSpan& span) {
@@ -79,7 +149,7 @@ void WriteReadLine(std::string& out, std::size_t run_index, const ReadSpan& span
     json.Key("recirc").Value(static_cast<std::uint64_t>(span.recirculations));
   }
   json.EndObject();
-  AppendLine(out, json);
+  AppendJsonlLine(out, json);
 }
 
 void WriteOpLine(std::string& out, std::size_t run_index, const OpRecord& op) {
@@ -103,7 +173,7 @@ void WriteOpLine(std::string& out, std::size_t run_index, const OpRecord& op) {
     json.Key("count").Value(static_cast<std::uint64_t>(op.detail));
   }
   json.EndObject();
-  AppendLine(out, json);
+  AppendJsonlLine(out, json);
 }
 
 }  // namespace
@@ -111,20 +181,9 @@ void WriteOpLine(std::string& out, std::size_t run_index, const OpRecord& op) {
 std::string EventsToJsonl(const std::vector<TraceRun>& runs,
                           const TraceExportMetadata& metadata) {
   std::string out;
-  {
-    JsonWriter json;
-    json.BeginObject();
-    json.Key("type").Value("header");
-    json.Key("schema").Value(kEventsSchema);
-    json.Key("coopfs_version").Value(kVersionString);
-    json.Key("seed").Value(metadata.seed);
-    json.Key("trace_events").Value(metadata.trace_events);
-    if (!metadata.workload.empty()) {
-      json.Key("workload").Value(metadata.workload);
-    }
-    json.EndObject();
-    AppendLine(out, json);
-  }
+  TraceExportMetadata header = metadata;
+  header.per_client_ceiling = 0;  // Describes timeseries run lines only.
+  AppendJsonlHeader(out, kEventsSchema, header);
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const TraceRun& run = runs[r];
     {
@@ -135,7 +194,7 @@ std::string EventsToJsonl(const std::vector<TraceRun>& runs,
       json.Key("policy").Value(run.policy);
       json.Key("num_clients").Value(static_cast<std::uint64_t>(run.num_clients));
       json.EndObject();
-      AppendLine(out, json);
+      AppendJsonlLine(out, json);
     }
     // Reads and ops are each seq-sorted (append order); merge to one
     // chronological stream.
@@ -164,102 +223,35 @@ Status WriteEventsJsonl(const std::vector<TraceRun>& runs, const TraceExportMeta
 
 namespace {
 
-Status LineError(std::size_t line_number, const std::string& message) {
-  return Status::DataLoss("events line " + std::to_string(line_number) + ": " + message);
-}
-
-// Fetches a required non-negative integral field.
-bool GetUint(const JsonValue& value, std::string_view key, std::uint64_t& out) {
-  const JsonValue* field = value.FindNumber(key);
-  if (field == nullptr || !field->IsIntegral() || field->AsInt() < 0) {
-    return false;
-  }
-  out = static_cast<std::uint64_t>(field->AsInt());
-  return true;
-}
-
-Status ParseReadLine(const JsonValue& value, std::size_t line_number, TraceRun& run) {
+Status ParseReadLine(const JsonValue& line, TraceRun& run) {
   ReadSpan span;
-  std::uint64_t seq = 0;
-  std::uint64_t index = 0;
-  std::uint64_t client = 0;
-  std::uint64_t file = 0;
-  std::uint64_t block = 0;
-  std::uint64_t hops = 0;
-  if (!GetUint(value, "seq", seq) || !GetUint(value, "i", index) ||
-      !GetUint(value, "client", client) || !GetUint(value, "file", file) ||
-      !GetUint(value, "block", block) || !GetUint(value, "hops", hops)) {
-    return LineError(line_number, "read missing integral field");
+  std::string level;
+  COOPFS_RETURN_IF_ERROR(ReadMembers(
+      line, "seq", &span.seq, "i", &span.event_index, "ts", &span.timestamp, "client",
+      &span.client, "file", &span.block.file, "block", &span.block.block, "level", &level,
+      "hops", &span.hops, "xfer", &span.data_transfer, "lat_us", &span.latency_us, "counted",
+      &span.counted));
+  if (!CacheLevelFromSchemaName(level, span.level)) {
+    return Status::DataLoss("read has unknown 'level'");
   }
-  const JsonValue* ts = value.FindNumber("ts");
-  const JsonValue* lat = value.FindNumber("lat_us");
-  if (ts == nullptr || !ts->IsIntegral() || lat == nullptr || !lat->IsIntegral()) {
-    return LineError(line_number, "read missing 'ts' or 'lat_us'");
-  }
-  const JsonValue* level = value.FindString("level");
-  if (level == nullptr || !CacheLevelFromSchemaName(level->AsString(), span.level)) {
-    return LineError(line_number, "read has unknown 'level'");
-  }
-  const JsonValue* xfer = value.Find("xfer");
-  const JsonValue* counted = value.Find("counted");
-  if (xfer == nullptr || !xfer->is_bool() || counted == nullptr || !counted->is_bool()) {
-    return LineError(line_number, "read missing boolean 'xfer' or 'counted'");
-  }
-  span.seq = seq;
-  span.event_index = index;
-  span.timestamp = ts->AsInt();
-  span.latency_us = lat->AsInt();
-  span.client = static_cast<ClientId>(client);
-  span.block = BlockId{static_cast<FileId>(file), static_cast<BlockIndex>(block)};
-  span.hops = static_cast<std::uint8_t>(hops);
-  span.data_transfer = xfer->AsBool();
-  span.counted = counted->AsBool();
-  if (std::uint64_t holder = 0; GetUint(value, "holder", holder)) {
-    span.forward_holder = static_cast<ClientId>(holder);
-  }
-  if (std::uint64_t recirc = 0; GetUint(value, "recirc", recirc)) {
-    span.recirculations = static_cast<std::uint32_t>(recirc);
-  }
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "holder", &span.forward_holder));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "recirc", &span.recirculations));
   run.reads.push_back(span);
   return Status::Ok();
 }
 
-Status ParseOpLine(const JsonValue& value, TraceOpKind kind, std::size_t line_number,
-                   TraceRun& run) {
+Status ParseOpLine(const JsonValue& line, TraceOpKind kind, TraceRun& run) {
   OpRecord op;
   op.kind = kind;
-  std::uint64_t seq = 0;
-  std::uint64_t index = 0;
-  std::uint64_t file = 0;
-  std::uint64_t block = 0;
-  if (!GetUint(value, "seq", seq) || !GetUint(value, "i", index) ||
-      !GetUint(value, "file", file) || !GetUint(value, "block", block)) {
-    return LineError(line_number, "op missing integral field");
-  }
-  const JsonValue* ts = value.FindNumber("ts");
-  if (ts == nullptr || !ts->IsIntegral()) {
-    return LineError(line_number, "op missing 'ts'");
-  }
-  op.seq = seq;
-  op.event_index = index;
-  op.timestamp = ts->AsInt();
-  op.block = BlockId{static_cast<FileId>(file), static_cast<BlockIndex>(block)};
-  if (std::uint64_t client = 0; GetUint(value, "client", client)) {
-    op.client = static_cast<ClientId>(client);
-  }
+  COOPFS_RETURN_IF_ERROR(ReadMembers(line, "seq", &op.seq, "i", &op.event_index, "ts",
+                                     &op.timestamp, "file", &op.block.file, "block",
+                                     &op.block.block));
+  COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "client", &op.client));
   if (kind == TraceOpKind::kInvalidation) {
-    if (std::uint64_t writer = 0; GetUint(value, "writer", writer)) {
-      op.peer = static_cast<ClientId>(writer);
-    }
+    COOPFS_RETURN_IF_ERROR(ReadOptionalMember(line, "writer", &op.peer));
   }
   if (kind == TraceOpKind::kRecirculation) {
-    std::uint64_t peer = 0;
-    std::uint64_t count = 0;
-    if (!GetUint(value, "peer", peer) || !GetUint(value, "count", count)) {
-      return LineError(line_number, "recirc missing 'peer' or 'count'");
-    }
-    op.peer = static_cast<ClientId>(peer);
-    op.detail = static_cast<std::uint8_t>(count);
+    COOPFS_RETURN_IF_ERROR(ReadMembers(line, "peer", &op.peer, "count", &op.detail));
   }
   run.ops.push_back(op);
   return Status::Ok();
@@ -269,91 +261,21 @@ Status ParseOpLine(const JsonValue& value, TraceOpKind kind, std::size_t line_nu
 
 Result<EventsDocument> ParseEventsJsonl(std::string_view text) {
   EventsDocument document;
-  bool saw_header = false;
-  std::size_t line_number = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t end = text.find('\n', pos);
-    const std::string_view line =
-        text.substr(pos, end == std::string_view::npos ? std::string_view::npos : end - pos);
-    pos = end == std::string_view::npos ? text.size() + 1 : end + 1;
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    Result<JsonValue> parsed = ParseJson(line);
-    if (!parsed.ok()) {
-      return LineError(line_number, parsed.status().ToString());
-    }
-    const JsonValue& value = *parsed;
-    const JsonValue* type = value.FindString("type");
-    if (type == nullptr) {
-      return LineError(line_number, "missing 'type'");
-    }
-    const std::string& type_name = type->AsString();
-    if (type_name == "header") {
-      if (saw_header) {
-        return LineError(line_number, "duplicate header");
-      }
-      const JsonValue* schema = value.FindString("schema");
-      if (schema == nullptr) {
-        return LineError(line_number, "header missing 'schema'");
-      }
-      if (schema->AsString() != kEventsSchema) {
-        return LineError(line_number, "unsupported schema '" + schema->AsString() + "'");
-      }
-      if (const JsonValue* version = value.FindString("coopfs_version"); version != nullptr) {
-        document.coopfs_version = version->AsString();
-      }
-      GetUint(value, "seed", document.metadata.seed);
-      GetUint(value, "trace_events", document.metadata.trace_events);
-      if (const JsonValue* workload = value.FindString("workload"); workload != nullptr) {
-        document.metadata.workload = workload->AsString();
-      }
-      saw_header = true;
-      continue;
-    }
-    if (!saw_header) {
-      return LineError(line_number, "first line must be the header");
-    }
-    if (type_name == "run") {
-      std::uint64_t run_index = 0;
-      std::uint64_t num_clients = 0;
-      const JsonValue* policy = value.FindString("policy");
-      if (policy == nullptr || !GetUint(value, "run", run_index) ||
-          !GetUint(value, "num_clients", num_clients)) {
-        return LineError(line_number, "run missing 'run', 'policy', or 'num_clients'");
-      }
-      if (run_index != document.runs.size()) {
-        return LineError(line_number, "run index out of order");
-      }
-      TraceRun run;
-      run.policy = policy->AsString();
-      run.num_clients = static_cast<std::uint32_t>(num_clients);
-      document.runs.push_back(std::move(run));
-      continue;
-    }
-    if (document.runs.empty()) {
-      return LineError(line_number, "record before any run line");
-    }
-    std::uint64_t run_index = 0;
-    if (!GetUint(value, "run", run_index) || run_index != document.runs.size() - 1) {
-      return LineError(line_number, "record 'run' does not match current run");
-    }
-    TraceRun& run = document.runs.back();
-    if (type_name == "read") {
-      COOPFS_RETURN_IF_ERROR(ParseReadLine(value, line_number, run));
-      continue;
-    }
-    if (TraceOpKind kind; OpKindFromTypeName(type_name, kind)) {
-      COOPFS_RETURN_IF_ERROR(ParseOpLine(value, kind, line_number, run));
-      continue;
-    }
-    return LineError(line_number, "unknown record type '" + type_name + "'");
-  }
-  if (!saw_header) {
-    return Status::DataLoss("events document has no header line");
-  }
+  COOPFS_RETURN_IF_ERROR(ParseJsonlRuns(
+      text, kEventsSchema, "events", document.coopfs_version, document.metadata,
+      [&document](const JsonValue& line) {
+        TraceRun& run = document.runs.emplace_back();
+        return ReadMembers(line, "policy", &run.policy, "num_clients", &run.num_clients);
+      },
+      [&document](const std::string& type, const JsonValue& line) {
+        if (type == "read") {
+          return ParseReadLine(line, document.runs.back());
+        }
+        if (TraceOpKind kind; OpKindFromTypeName(type, kind)) {
+          return ParseOpLine(line, kind, document.runs.back());
+        }
+        return Status::DataLoss("unknown record type '" + type + "'");
+      }));
   return document;
 }
 

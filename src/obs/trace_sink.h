@@ -21,10 +21,12 @@
 #ifndef COOPFS_SRC_OBS_TRACE_SINK_H_
 #define COOPFS_SRC_OBS_TRACE_SINK_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/obs/trace_recorder.h"
 
@@ -59,6 +61,31 @@ struct EventsDocument {
   TraceExportMetadata metadata;
   std::vector<TraceRun> runs;
 };
+
+// ---- JSONL framing, shared with "coopfs.timeseries/v1" ----
+//
+// Both JSONL documents are a header line, then run lines 0, 1, ..., each
+// followed by its records. The header carries the schema tag,
+// coopfs_version, seed and trace_events, plus workload and
+// per_client_ceiling when set; every later line carries its "type" and its
+// "run" index.
+
+// Appends `json` to `out` as one more line.
+void AppendJsonlLine(std::string& out, const JsonWriter& json);
+
+// Appends the header line of a `schema` document.
+void AppendJsonlHeader(std::string& out, std::string_view schema,
+                       const TraceExportMetadata& metadata);
+
+// Reads that framing: fills `coopfs_version` and `metadata` from the header,
+// hands each run line to `on_run` once its index is the next one, and each
+// record line of the latest run to `on_record` with its type. Errors are
+// kDataLoss naming `what` ("events", "timeseries") and the line.
+Status ParseJsonlRuns(
+    std::string_view text, std::string_view schema, std::string_view what,
+    std::string& coopfs_version, TraceExportMetadata& metadata,
+    const std::function<Status(const JsonValue&)>& on_run,
+    const std::function<Status(const std::string& type, const JsonValue&)>& on_record);
 
 // ---- JSONL ("coopfs.events/v1") ----
 

@@ -15,7 +15,9 @@
 #include "src/obs/snapshot_sampler.h"
 
 #include <cstddef>
+#include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -398,6 +400,25 @@ TEST_F(SnapshotSamplerTest, ParserRejectsCorruptDocuments) {
     broken.replace(singlets, 12, "\"singlets\":8");
   }
   EXPECT_FALSE(ParseTimeseriesJsonl(broken).ok());
+}
+
+// Every id and count is read as its in-memory type: a num_clients of
+// 4294967338 once read back as 42 clients.
+TEST_F(SnapshotSamplerTest, OutOfRangeFieldsAreDataLoss) {
+  SnapshotSampler sampler;
+  RunSampled(PolicyKind::kNChance, sampler, TraceSpan() / 7);
+  const std::string jsonl = Export(sampler);
+  ASSERT_TRUE(ParseTimeseriesJsonl(jsonl).ok());
+  const std::pair<const char*, const char*> kHostile[] = {
+      {"num_clients", "4294967338"}, {"seed", "-1"}, {"events", "18446744073709551616"},
+      {"interval_us", "0.5"}};
+  for (const auto& [key, value] : kHostile) {
+    const std::string corrupt = std::regex_replace(
+        jsonl, std::regex(std::string("\"") + key + "\":[0-9]+"),
+        std::string("\"") + key + "\":" + value, std::regex_constants::format_first_only);
+    ASSERT_NE(corrupt, jsonl) << key;
+    EXPECT_EQ(ParseTimeseriesJsonl(corrupt).status().code(), StatusCode::kDataLoss) << key;
+  }
 }
 
 // ---- Per-client ceiling (bounded-memory mode) ----

@@ -14,7 +14,9 @@
 #include "src/obs/trace_recorder.h"
 
 #include <cstddef>
+#include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -258,6 +260,25 @@ TEST_F(TraceRecorderTest, ValidationRejectsCorruptDocuments) {
 
   std::string truncated = jsonl.substr(0, jsonl.size() / 2);
   EXPECT_FALSE(ValidateEventsDocument(truncated).ok());
+}
+
+// Every id and count is read as its in-memory type: each of these once
+// wrapped instead (client 4294967317 read back as client 21).
+TEST_F(TraceRecorderTest, OutOfRangeFieldsAreDataLoss) {
+  TraceRecorder recorder;
+  RunTraced(PolicyKind::kNChance, recorder);
+  const std::string jsonl = Export(recorder);
+  ASSERT_TRUE(ParseEventsJsonl(jsonl).ok());
+  const std::pair<const char*, const char*> kHostile[] = {
+      {"client", "4294967317"}, {"file", "4294968155"}, {"block", "4294967296"},
+      {"hops", "258"},          {"seq", "-1"},          {"num_clients", "4294967338"}};
+  for (const auto& [key, value] : kHostile) {
+    const std::string corrupt = std::regex_replace(
+        jsonl, std::regex(std::string("\"") + key + "\":[0-9]+"),
+        std::string("\"") + key + "\":" + value, std::regex_constants::format_first_only);
+    ASSERT_NE(corrupt, jsonl) << key;
+    EXPECT_EQ(ParseEventsJsonl(corrupt).status().code(), StatusCode::kDataLoss) << key;
+  }
 }
 
 // ---- Perfetto export ----

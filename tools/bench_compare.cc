@@ -31,14 +31,13 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/format.h"
+#include "src/common/json.h"
 #include "src/obs/bench_gate.h"
 #include "src/obs/bench_report.h"
 #include "src/obs/run_diff.h"
@@ -48,14 +47,12 @@ namespace {
 
 // Loads and schema-validates one bench document.
 std::optional<BenchReport> LoadReport(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_compare: cannot open %s\n", path.c_str());
+  Result<std::string> text = ReadTextFile(path);
+  if (!text.ok()) {
+    std::fprintf(stderr, "bench_compare: %s\n", text.status().ToString().c_str());
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Result<BenchReport> report = ParseBenchDocument(buffer.str());
+  Result<BenchReport> report = ParseBenchDocument(*text);
   if (!report.ok()) {
     std::fprintf(stderr, "bench_compare: %s: %s\n", path.c_str(),
                  report.status().ToString().c_str());

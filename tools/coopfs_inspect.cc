@@ -45,9 +45,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -98,40 +96,18 @@ void PrintUsage() {
                "         --out PATH (diff: write the coopfs.diff/v1 report)\n");
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    Die("cannot open " + path);
+// Parses "f12:b3" (the BlockId::ToString form); also accepts "12:3". Each id
+// must fit its 32-bit type.
+Status ParseBlockRef(const std::string& text, BlockId& out) {
+  const std::size_t colon = text.find(':');
+  if (colon == std::string::npos) {
+    return Status::InvalidArgument("block wants a reference like f12:b3, got '" + text + "'");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    Die("error reading " + path);
-  }
-  return std::move(buffer).str();
-}
-
-// Parses "f12:b3" (the BlockId::ToString form); also accepts "12:3".
-bool ParseBlockRef(const std::string& text, BlockId& out) {
-  const char* cursor = text.c_str();
-  if (*cursor == 'f') {
-    ++cursor;
-  }
-  char* end = nullptr;
-  const unsigned long long file = std::strtoull(cursor, &end, 10);
-  if (end == cursor || *end != ':') {
-    return false;
-  }
-  cursor = end + 1;
-  if (*cursor == 'b') {
-    ++cursor;
-  }
-  const unsigned long long block = std::strtoull(cursor, &end, 10);
-  if (end == cursor || *end != '\0') {
-    return false;
-  }
-  out = BlockId{static_cast<FileId>(file), static_cast<BlockIndex>(block)};
-  return true;
+  const std::size_t file_at = text[0] == 'f' ? 1 : 0;
+  const std::size_t block_at = colon + (text[colon + 1] == 'b' ? 2 : 1);
+  COOPFS_RETURN_IF_ERROR(ParseFlagNumber(
+      "block file", text.substr(file_at, colon - file_at).c_str(), &out.file));
+  return ParseFlagNumber("block index", text.c_str() + block_at, &out.block);
 }
 
 std::string RunLabel(const EventsDocument& document, std::size_t run_index) {
@@ -851,6 +827,13 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 1;
   }
+  // Checked before the input, which may be a multi-hundred-MB trace, is read.
+  BlockId block;
+  if (command == "block") {
+    if (Status status = ParseBlockRef(command_arg, block); !status.ok()) {
+      Die(status.ToString());
+    }
+  }
 
   // diff reads both of its files itself (baseline = command_arg, candidate =
   // input_path); it branches off before the single-input read below.
@@ -861,7 +844,11 @@ int main(int argc, char** argv) {
     return CommandDiff(command_arg, input_path, out_path, json_output);
   }
 
-  const std::string text = ReadWholeFile(input_path);
+  Result<std::string> read = ReadTextFile(input_path);
+  if (!read.ok()) {
+    Die(read.status().ToString());
+  }
+  const std::string& text = *read;
 
   // summary and hot-blocks also accept coopfs.metrics/v1 documents (a single
   // JSON object; the JSONL documents never parse as one). The sketched
@@ -874,9 +861,10 @@ int main(int argc, char** argv) {
         Die(input_path + ": " + status.ToString());
       }
       if (!json_output) {
+        const JsonValue* version = metrics->FindString("coopfs_version");
         std::printf("%s: %s, coopfs %s, %zu results\n\n", input_path.c_str(),
                     std::string(kMetricsSchema).c_str(),
-                    metrics->FindString("coopfs_version")->AsString().c_str(),
+                    version != nullptr ? version->AsString().c_str() : "unknown",
                     metrics->FindArray("results")->items().size());
       }
       if (command == "summary") {
@@ -970,10 +958,6 @@ int main(int argc, char** argv) {
   } else if (command == "recirc") {
     CommandRecirc(document, run_indices);
   } else if (command == "block") {
-    BlockId block;
-    if (command_arg.empty() || !ParseBlockRef(command_arg, block)) {
-      Die("block command needs a block reference like f12:b3");
-    }
     CommandBlock(document, run_indices, block);
   } else if (command == "export-perfetto") {
     if (command_arg.empty()) {
