@@ -92,12 +92,15 @@
 //                 hardware concurrency)
 //   --out PATH    output document (default BENCH_coopfs.json)
 //   --dry-run     skip all measurement; emit a valid empty-suite document
+//
+// It also parses the other BenchOptions flags (src/exp/options.h). An unknown
+// flag, a flag without its value or a malformed number exits 2 before
+// anything runs or is written.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
@@ -109,7 +112,6 @@
 #include "src/cache/block_cache.h"
 #include "src/cache/directory.h"
 #include "src/cache/lru_map.h"
-#include "src/common/flags.h"
 #include "src/common/flat_hash_map.h"
 #include "src/common/format.h"
 #include "src/common/profiler.h"
@@ -268,28 +270,18 @@ constexpr ReplayCase kReplayCases[] = {
 };
 
 int Run(int argc, char** argv) {
-  Result<BenchOptions> parsed = BenchOptions::FromArgs(argc, argv);
+  std::string out_path = "BENCH_coopfs.json";
+  std::size_t max_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  bool dry_run = false;
+  Result<BenchOptions> parsed = BenchOptions::FromArgs(
+      argc, argv,
+      {{"--out", &out_path}, {"--threads", &max_threads}, {"--dry-run", &dry_run}});
   if (!parsed.ok()) {
     std::fprintf(stderr, "perf_harness: %s\n", parsed.status().message().c_str());
     return 2;
   }
   const BenchOptions& options = *parsed;
-  std::string out_path = "BENCH_coopfs.json";
-  std::size_t max_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  bool dry_run = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (Status status = ParseFlagNumber(argv[i], argv[i + 1], &max_threads); !status.ok()) {
-        std::fprintf(stderr, "perf_harness: %s\n", status.message().c_str());
-        return 2;
-      }
-      max_threads = std::max<std::size_t>(1, max_threads);
-    } else if (std::strcmp(argv[i], "--dry-run") == 0) {
-      dry_run = true;
-    }
-  }
+  max_threads = std::max<std::size_t>(1, max_threads);
 
   BenchReport report;
   report.host_threads =

@@ -10,32 +10,26 @@
 // Usage: capacity_planning [--events N] [--seed S]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/core/policy_factory.h"
 #include "src/sim/simulator.h"
 #include "src/trace/warmup.h"
 #include "src/trace/workload.h"
 
-namespace {
-
-std::uint64_t FlagValue(int argc, char** argv, const char* name, std::uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace coopfs;
 
-  WorkloadConfig workload = SpriteWorkloadConfig(FlagValue(argc, argv, "--seed", 42));
-  workload.num_events = FlagValue(argc, argv, "--events", 300'000);
+  std::uint64_t seed = 42;
+  std::uint64_t events = 300'000;
+  if (Status status = ParseFlags(argc, argv, {{"--events", &events}, {"--seed", &seed}});
+      !status.ok()) {
+    std::fprintf(stderr, "capacity_planning: %s\n", status.message().c_str());
+    return 2;
+  }
+  WorkloadConfig workload = SpriteWorkloadConfig(seed);
+  workload.num_events = events;
   std::printf("Generating workload (%llu events, %u clients)...\n\n",
               static_cast<unsigned long long>(workload.num_events), workload.num_clients);
   const Trace trace = GenerateWorkload(workload);

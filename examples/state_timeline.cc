@@ -11,10 +11,9 @@
 //
 // Usage: state_timeline [--events N] [--seed S] [--out PATH]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/core/policy_factory.h"
 #include "src/obs/snapshot_sampler.h"
@@ -22,34 +21,20 @@
 #include "src/trace/warmup.h"
 #include "src/trace/workload.h"
 
-namespace {
-
-std::uint64_t FlagValue(int argc, char** argv, const char* name, std::uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-const char* StringFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace coopfs;
 
-  const std::uint64_t seed = FlagValue(argc, argv, "--seed", 42);
+  std::uint64_t seed = 42;
+  std::uint64_t events = 300'000;
+  std::string out;
+  if (Status status = ParseFlags(argc, argv,
+                                 {{"--events", &events}, {"--seed", &seed}, {"--out", &out}});
+      !status.ok()) {
+    std::fprintf(stderr, "state_timeline: %s\n", status.message().c_str());
+    return 2;
+  }
   WorkloadConfig workload = SpriteWorkloadConfig(seed);
-  workload.num_events = FlagValue(argc, argv, "--events", 300'000);
+  workload.num_events = events;
   std::printf("Generating %llu events over %s...\n\n",
               static_cast<unsigned long long>(workload.num_events),
               FormatMicros(static_cast<double>(workload.duration)).c_str());
@@ -102,7 +87,7 @@ int main(int argc, char** argv) {
               "workload); 'Avg read' covers counted (post-warm-up) reads only, so early\n"
               "windows show '-' while the caches fill.\n");
 
-  if (const char* out = StringFlag(argc, argv, "--out"); out != nullptr) {
+  if (!out.empty()) {
     TraceExportMetadata metadata;
     metadata.seed = seed;
     metadata.trace_events = workload.num_events;
@@ -111,7 +96,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "timeseries export failed: %s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("\nwrote %s -- try: coopfs_inspect timeline %s\n", out, out);
+    std::printf("\nwrote %s -- try: coopfs_inspect timeline %s\n", out.c_str(), out.c_str());
   }
   return 0;
 }

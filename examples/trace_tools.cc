@@ -16,11 +16,12 @@
 //       Extract a sub-trace (client ids are re-numbered densely).
 //   trace_tools merge <in-a> <in-b> <out> [client-offset]
 //       Splice two traces on the time axis.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/core/policy_factory.h"
 #include "src/sim/simulator.h"
@@ -47,14 +48,36 @@ int Usage() {
   return 2;
 }
 
+// Reads `value` into `*out` through ParseFlagNumber, under the name the
+// usage text gives it. A malformed number is a usage error (exit 2), found
+// before any trace is read: false after printing it.
+template <typename T>
+bool Number(const char* name, const char* value, T* out) {
+  const Status status = ParseFlagNumber(name, value, out);
+  if (!status.ok()) {
+    std::fprintf(stderr, "trace_tools: %s\n", status.message().c_str());
+  }
+  return status.ok();
+}
+
+// Number() for the optional argv[index]; absent, `*out` keeps its default.
+template <typename T>
+bool OptionalNumber(int argc, char** argv, int index, const char* name, T* out) {
+  return index >= argc || Number(name, argv[index], out);
+}
+
 int Generate(int argc, char** argv) {
   if (argc < 4) {
     return Usage();
   }
   const std::string kind = argv[2];
   const std::string out = argv[3];
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 42;
-  const std::uint64_t events = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 0;
+  std::uint64_t seed = 42;
+  std::uint64_t events = 0;
+  if (!OptionalNumber(argc, argv, 4, "seed", &seed) ||
+      !OptionalNumber(argc, argv, 5, "events", &events)) {
+    return 2;
+  }
 
   Trace trace;
   if (kind == "leff") {
@@ -127,6 +150,12 @@ int Simulate(int argc, char** argv) {
   if (argc < 4) {
     return Usage();
   }
+  std::size_t client_mb = 16;
+  std::size_t server_mb = 128;
+  if (!OptionalNumber(argc, argv, 4, "client-mb", &client_mb) ||
+      !OptionalNumber(argc, argv, 5, "server-mb", &server_mb)) {
+    return 2;
+  }
   Result<Trace> trace = ReadTraceFile(argv[2]);
   if (!trace.ok()) {
     std::fprintf(stderr, "read failed: %s\n", trace.status().ToString().c_str());
@@ -138,8 +167,7 @@ int Simulate(int argc, char** argv) {
     return 1;
   }
   SimulationConfig config;
-  config.WithClientCacheMiB(argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 16);
-  config.WithServerCacheMiB(argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 128);
+  config.WithClientCacheMiB(client_mb).WithServerCacheMiB(server_mb);
   config.warmup_events = SpriteWarmupEvents(trace->size());
 
   Simulator simulator(config, &*trace);
@@ -160,37 +188,37 @@ int Filter(int argc, char** argv) {
   if (argc < 6) {
     return Usage();
   }
+  const std::string mode = argv[4];
+  std::vector<ClientId> clients;
+  Micros begin = 0;
+  Micros end = 0;
+  std::size_t count = 0;
+  bool parsed = true;
+  if (mode == "clients") {
+    const std::string list = argv[5];
+    for (std::size_t pos = 0; parsed && pos < list.size();) {
+      const std::size_t comma = std::min(list.find(',', pos), list.size());
+      parsed = Number("id", list.substr(pos, comma - pos).c_str(), &clients.emplace_back());
+      pos = comma + 1;
+    }
+  } else if (mode == "time" && argc >= 7) {
+    parsed = Number("begin-us", argv[5], &begin) && Number("end-us", argv[6], &end);
+  } else if (mode == "head") {
+    parsed = Number("count", argv[5], &count);
+  } else {
+    return Usage();
+  }
+  if (!parsed) {
+    return 2;
+  }
   Result<Trace> trace = ReadTraceFile(argv[2]);
   if (!trace.ok()) {
     std::fprintf(stderr, "read failed: %s\n", trace.status().ToString().c_str());
     return 1;
   }
-  const std::string mode = argv[4];
-  Trace filtered;
-  if (mode == "clients") {
-    std::vector<ClientId> clients;
-    std::string list = argv[5];
-    for (std::size_t pos = 0; pos < list.size();) {
-      const std::size_t comma = list.find(',', pos);
-      clients.push_back(
-          static_cast<ClientId>(std::strtoul(list.substr(pos, comma - pos).c_str(), nullptr, 10)));
-      if (comma == std::string::npos) {
-        break;
-      }
-      pos = comma + 1;
-    }
-    filtered = FilterTraceToClients(*trace, clients);
-  } else if (mode == "time") {
-    if (argc < 7) {
-      return Usage();
-    }
-    filtered = SliceTraceByTime(*trace, std::strtoll(argv[5], nullptr, 10),
-                                std::strtoll(argv[6], nullptr, 10));
-  } else if (mode == "head") {
-    filtered = TraceHead(*trace, std::strtoull(argv[5], nullptr, 10));
-  } else {
-    return Usage();
-  }
+  Trace filtered = mode == "clients" ? FilterTraceToClients(*trace, clients)
+                   : mode == "time"  ? SliceTraceByTime(*trace, begin, end)
+                                     : TraceHead(*trace, count);
   filtered = CompactClientIds(filtered);
   const Status status = WriteTraceBinaryFile(filtered, argv[3]);
   if (!status.ok()) {
@@ -205,6 +233,10 @@ int Merge(int argc, char** argv) {
   if (argc < 5) {
     return Usage();
   }
+  std::uint32_t offset = 0;
+  if (!OptionalNumber(argc, argv, 5, "client-offset", &offset)) {
+    return 2;
+  }
   Result<Trace> a = ReadTraceFile(argv[2]);
   Result<Trace> b = ReadTraceFile(argv[3]);
   if (!a.ok() || !b.ok()) {
@@ -212,8 +244,6 @@ int Merge(int argc, char** argv) {
                  (!a.ok() ? a.status() : b.status()).ToString().c_str());
     return 1;
   }
-  const auto offset =
-      argc > 5 ? static_cast<std::uint32_t>(std::strtoul(argv[5], nullptr, 10)) : 0u;
   const Trace merged = MergeTraces(*a, *b, offset);
   const Status status = WriteTraceBinaryFile(merged, argv[4]);
   if (!status.ok()) {

@@ -9,10 +9,9 @@
 // Usage: warmup_timeline [--events N] [--seed S]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/core/policy_factory.h"
 #include "src/obs/snapshot_sampler.h"
@@ -20,15 +19,6 @@
 #include "src/trace/workload.h"
 
 namespace {
-
-std::uint64_t FlagValue(int argc, char** argv, const char* name, std::uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return fallback;
-}
 
 double AvgReadTime(const coopfs::StateSample& sample) {
   return sample.CountedTimeUs() / static_cast<double>(sample.CountedReads());
@@ -45,8 +35,15 @@ double DiskRate(const coopfs::StateSample& sample) {
 int main(int argc, char** argv) {
   using namespace coopfs;
 
-  WorkloadConfig workload = SpriteWorkloadConfig(FlagValue(argc, argv, "--seed", 42));
-  workload.num_events = FlagValue(argc, argv, "--events", 300'000);
+  std::uint64_t seed = 42;
+  std::uint64_t events = 300'000;
+  if (Status status = ParseFlags(argc, argv, {{"--events", &events}, {"--seed", &seed}});
+      !status.ok()) {
+    std::fprintf(stderr, "warmup_timeline: %s\n", status.message().c_str());
+    return 2;
+  }
+  WorkloadConfig workload = SpriteWorkloadConfig(seed);
+  workload.num_events = events;
   std::printf("Generating %llu events over %s...\n\n",
               static_cast<unsigned long long>(workload.num_events),
               FormatMicros(static_cast<double>(workload.duration)).c_str());

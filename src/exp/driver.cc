@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <thread>
 
-#include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/common/profiler.h"
 #include "src/exp/context.h"
@@ -22,6 +20,8 @@ constexpr const char kUsage[] =
     "                    [--events N] [--seed S] [--auspex-events N]\n"
     "                    [--json PATH] [--trace-events PATH] [--trace-perfetto PATH]\n"
     "                    [--timeseries PATH] [--sample-interval N] [--profile PATH]\n"
+    "                    [--metrics-detail full|bounded] [--bench-out PATH]\n"
+    "                    [--max-clients N]\n"
     "\n"
     "Runs registered coopfs experiments (figures, sections, extensions).\n"
     "  --list          list experiments and exit\n"
@@ -35,13 +35,6 @@ constexpr const char kUsage[] =
     "Export flags (--json, --trace-events, --trace-perfetto, --timeseries,\n"
     "--profile) name a file when one experiment is selected; with several,\n"
     "they name a directory that receives one file per experiment.\n";
-
-// Flags consumed by the driver itself; everything else must be a BenchOptions
-// flag or the parse fails, so typos are caught.
-bool IsDriverFlag(const char* arg) {
-  return std::strcmp(arg, "--filter") == 0 || std::strcmp(arg, "--threads") == 0 ||
-         std::strcmp(arg, "--out-dir") == 0;
-}
 
 // Equivalent re-run command line for the manifest: standalone flags that
 // reproduce this experiment's tables and exports at any thread count.
@@ -144,29 +137,14 @@ void PrintList(const ExperimentRegistry& registry) {
 
 Result<DriverOptions> DriverOptions::Parse(int argc, char** argv) {
   DriverOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--list") == 0) {
-      options.list = true;
-    } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      options.help = true;
-    } else if (IsDriverFlag(arg) || IsBenchFlag(arg)) {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(std::string(arg) + " requires a value");
-      }
-      if (std::strcmp(arg, "--filter") == 0) {
-        options.filter = argv[i + 1];
-      } else if (std::strcmp(arg, "--threads") == 0) {
-        COOPFS_RETURN_IF_ERROR(ParseFlagNumber(arg, argv[i + 1], &options.threads));
-      } else if (std::strcmp(arg, "--out-dir") == 0) {
-        options.out_dir = argv[i + 1];
-      }
-      ++i;  // BenchOptions flags are re-parsed below.
-    } else {
-      return Status::InvalidArgument(std::string("unknown flag '") + arg + "'");
-    }
-  }
-  Result<BenchOptions> bench = BenchOptions::FromArgs(argc, argv);
+  Result<BenchOptions> bench =
+      BenchOptions::FromArgs(argc, argv,
+                             {{"--list", &options.list},
+                              {"--help", &options.help},
+                              {"-h", &options.help},
+                              {"--filter", &options.filter},
+                              {"--threads", &options.threads},
+                              {"--out-dir", &options.out_dir}});
   if (!bench.ok()) {
     return bench.status();
   }

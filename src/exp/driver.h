@@ -36,9 +36,9 @@ struct DriverOptions {
   std::size_t threads = 0;            // 0 = hardware concurrency
   std::string out_dir = "coopfs_runs";  // where run manifests are written
 
-  // Parses the full coopfs_bench command line (driver flags + BenchOptions
-  // flags); unknown flags are an error here, unlike BenchOptions::FromArgs,
-  // and so is a malformed number.
+  // Parses the full coopfs_bench command line: the driver flags above as
+  // BenchOptions::FromArgs extras, so an unknown flag, a missing value or a
+  // malformed number is an error naming the flag.
   static Result<DriverOptions> Parse(int argc, char** argv);
 };
 

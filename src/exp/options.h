@@ -32,7 +32,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/sim/config.h"
@@ -62,12 +64,13 @@ struct BenchOptions {
   // legs stop at 10^4 and leave 10^5+ to acceptance runs. Default: no cap.
   std::uint32_t max_clients = 1'000'000;
 
-  // Parses flags; also enables the self-profiler process-wide when --profile
-  // was given, so spans cover workload generation as well as the runs.
-  // Unknown flags are ignored (the driver parses its own on top of these).
-  // A flag without a value, a malformed number, or an unknown
+  // Parses the flags above together with the caller's `extra` flags in one
+  // ParseFlags pass (src/common/flags.h); also enables the self-profiler
+  // process-wide when --profile was given, so spans cover workload
+  // generation as well as the runs. An unknown flag, a positional argument,
+  // a flag without a value, a malformed number, or an unknown
   // --metrics-detail is an InvalidArgument naming the flag.
-  static Result<BenchOptions> FromArgs(int argc, char** argv);
+  static Result<BenchOptions> FromArgs(int argc, char** argv, const std::vector<Flag>& extra);
 
   bool tracing_requested() const {
     return !trace_events_out.empty() || !trace_perfetto_out.empty();
@@ -85,9 +88,6 @@ struct BenchOptions {
     return SpriteWarmupEvents(num_events);
   }
 };
-
-// True for the flags BenchOptions::FromArgs consumes (each takes a value).
-bool IsBenchFlag(const char* arg);
 
 }  // namespace coopfs
 

@@ -1,6 +1,8 @@
 #include "src/obs/trace_sink.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/common/version.h"
@@ -296,7 +298,20 @@ std::string PerfettoTraceJson(const std::vector<TraceRun>& runs) {
     json.Key("pid").Value(static_cast<std::uint64_t>(r));
     json.Key("args").BeginObject().Key("name").Value(run.policy).EndObject();
     json.EndObject();
-    for (std::uint32_t c = 0; c < run.num_clients; ++c) {
+    // Name only the clients the run's records use: num_clients comes from
+    // the document, so a hostile run line must not buy one record per id.
+    std::vector<ClientId> clients;
+    for (const ReadSpan& span : run.reads) {
+      clients.push_back(span.client);
+    }
+    for (const OpRecord& op : run.ops) {
+      if (op.client != kNoClient) {
+        clients.push_back(op.client);
+      }
+    }
+    std::sort(clients.begin(), clients.end());
+    clients.erase(std::unique(clients.begin(), clients.end()), clients.end());
+    for (const ClientId c : clients) {
       json.BeginObject();
       json.Key("name").Value("thread_name");
       json.Key("ph").Value("M");

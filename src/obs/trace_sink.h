@@ -10,9 +10,10 @@
 //
 //   * Chrome trace_event JSON — the "traceEvents" array format understood by
 //     ui.perfetto.dev and chrome://tracing. Each run becomes a process
-//     (named after the policy), each client a thread; reads are complete
-//     ("X") events with their charged latency as duration, discrete records
-//     are instant ("i") events.
+//     (named after the policy) and each client that its records name a
+//     thread ("client <id>", in id order); reads are complete ("X") events
+//     with their charged latency as duration, discrete records are instant
+//     ("i") events.
 //
 // Both serializations are deterministic: identical recorded runs produce
 // identical bytes (fixed key order, shortest round-trip doubles), so the

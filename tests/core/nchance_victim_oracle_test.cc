@@ -75,7 +75,7 @@ class ScanNChancePolicy : public GreedyPolicy {
       return;
     }
     if (n_ == 0) {
-      DropLocal(client, victim->block);
+      Discard(client, victim->block);
       return;
     }
     HandleEviction(client, *victim);
@@ -240,6 +240,31 @@ TEST_P(NChanceVictimOracle, SublistsExportTheScanRulesBytes) {
   if (row.client_blocks <= kTinyClientBlocks) {
     EXPECT_GT(reference.lru_picks, 0u);
   }
+}
+
+// n = 0 forwards nothing, so it makes no duplicate or recirculating pick and
+// cannot share the body above. With 256 KiB client caches, dirty victims are
+// evicted before their 30 s flush, and both policies must write them back.
+TEST(NChanceVictimOracleTest, ZeroChanceWritesBackDirtyVictims) {
+  const Trace trace = SpriteTrace(0.0);
+  SimulationConfig config;
+  config.WithServerCacheMiB(16);
+  config.client_cache_blocks = kTinyClientBlocks;
+  config.write_policy = WritePolicy::kDelayedWrite;
+  config.warmup_events = kEvents / 4;
+  config.seed = 5;
+
+  ScanNChancePolicy reference(0);
+  Result<SimulationResult> expected = Simulator(config, &trace).Run(reference);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  NChancePolicy policy(0);
+  Result<SimulationResult> actual = Simulator(config, &trace).Run(policy);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+
+  EXPECT_GT(expected->flushed_writes, 0u);
+  EXPECT_EQ(expected->flushed_writes, actual->flushed_writes);
+  EXPECT_EQ(SimulationResultToJson(*expected), SimulationResultToJson(*actual));
 }
 
 INSTANTIATE_TEST_SUITE_P(

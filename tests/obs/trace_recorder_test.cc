@@ -10,10 +10,12 @@
 //     across RunSimulationsParallel thread counts (one recorder per job).
 //   * Transparency — attaching a recorder must not perturb the simulation.
 //   * Round-trip — ParseEventsJsonl inverts EventsToJsonl exactly, and the
-//     Perfetto export is structurally valid trace_event JSON.
+//     Perfetto export is structurally valid trace_event JSON that names
+//     only the clients its records use.
 #include "src/obs/trace_recorder.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <regex>
 #include <string>
 #include <utility>
@@ -332,6 +334,61 @@ TEST_F(TraceRecorderTest, PerfettoExportIsStructurallyValidTraceEventJson) {
   EXPECT_EQ(complete, spans);
   EXPECT_EQ(instant, ops);
   EXPECT_GT(metadata, 0u) << "process/thread name metadata missing";
+}
+
+// The tids that the export names with "thread_name" metadata records.
+std::vector<std::uint64_t> NamedThreads(const std::string& perfetto) {
+  Result<JsonValue> parsed = ParseJson(perfetto);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::vector<std::uint64_t> tids;
+  if (parsed.ok()) {
+    for (const JsonValue& event : parsed->FindArray("traceEvents")->items()) {
+      if (event.FindString("name")->AsString() == "thread_name") {
+        tids.push_back(static_cast<std::uint64_t>(event.FindNumber("tid")->AsDouble()));
+      }
+    }
+  }
+  return tids;
+}
+
+// A run line's num_clients comes from the document, so it must not decide
+// how many thread names are written: this two-line events document, which
+// claims a million clients, once exported as 84,777,882 bytes.
+TEST(PerfettoExportTest, NamesOnlyTheClientsTheRecordsUse) {
+  const std::string hostile =
+      "{\"type\":\"header\",\"schema\":\"coopfs.events/v1\",\"coopfs_version\":\"test\","
+      "\"seed\":0,\"trace_events\":0}\n"
+      "{\"type\":\"run\",\"run\":0,\"policy\":\"p\",\"num_clients\":1000000}\n";
+  Result<EventsDocument> document = ParseEventsJsonl(hostile);
+  ASSERT_TRUE(document.ok()) << document.status().ToString();
+  ASSERT_EQ(document->runs.size(), 1u);
+  EXPECT_EQ(document->runs[0].num_clients, 1'000'000u);
+  const std::string empty = PerfettoTraceJson(document->runs);
+  EXPECT_LT(empty.size(), 200u);
+  EXPECT_TRUE(NamedThreads(empty).empty());
+
+  // Clients 7 and 3 read and write (7 twice); a directory erase has no
+  // client. Exactly tids 3 and 7 are named, in id order.
+  TraceRun run;
+  run.policy = "p";
+  run.num_clients = 1'000'000;
+  ReadSpan read;
+  read.client = 7;
+  read.block = BlockId{1, 2};
+  run.reads.push_back(read);
+  read.seq = 3;
+  run.reads.push_back(read);
+  OpRecord write;
+  write.seq = 1;
+  write.client = 3;
+  write.block = BlockId{1, 2};
+  run.ops.push_back(write);
+  OpRecord erase;
+  erase.seq = 2;
+  erase.kind = TraceOpKind::kDirectoryErase;
+  erase.block = BlockId{1, 2};
+  run.ops.push_back(erase);
+  EXPECT_EQ(NamedThreads(PerfettoTraceJson({run})), (std::vector<std::uint64_t>{3, 7}));
 }
 
 }  // namespace

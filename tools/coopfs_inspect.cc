@@ -2,8 +2,9 @@
 // event traces, "coopfs.timeseries/v1" state samples, and
 // "coopfs.profile/v1" simulator self-profiles.
 //
-// Consumes the JSONL documents written by --trace-events / --timeseries /
-// --profile (bench binaries, examples/algorithm_comparison) and answers the
+// Consumes the JSONL documents written by coopfs_bench's --trace-events /
+// --timeseries / --profile (for example `coopfs_bench --filter
+// fig04_read_time --trace-events fig04.events.jsonl`) and answers the
 // questions the aggregate metrics document cannot: which blocks are hot, who
 // forwards to whom, how deep N-Chance recirculation chains run, why a
 // particular block missed, how cache state evolved over simulated time, and
@@ -37,13 +38,13 @@
 // from metrics_detail=bounded runs; reads are Space-Saving overestimates
 // bounded by the reported error).
 //
-// Unknown commands, unreadable inputs, and documents that fail validation
-// all exit nonzero. See docs/observability.md for the schemas.
+// Unknown commands, unknown flags, flags without their value, malformed
+// numbers, unreadable inputs, and documents that fail validation all exit 1.
+// See docs/observability.md for the schemas.
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -770,27 +771,23 @@ int main(int argc, char** argv) {
   std::size_t top_n = 20;
   long run_filter = -1;
   bool json_output = false;
+  bool help = false;
 
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      if (Status status = ParseFlagNumber("--top", argv[++i], &top_n); !status.ok()) {
-        Die(status.ToString());
-      }
-    } else if (std::strcmp(argv[i], "--run") == 0 && i + 1 < argc) {
-      if (Status status = ParseFlagNumber("--run", argv[++i], &run_filter); !status.ok()) {
-        Die(status.ToString());
-      }
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_output = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      PrintUsage();
-      return 0;
-    } else {
-      positional.emplace_back(argv[i]);
-    }
+  if (Status status = ParseFlags(argc, argv,
+                                 {{"--top", &top_n},
+                                  {"--run", &run_filter},
+                                  {"--out", &out_path},
+                                  {"--json", &json_output},
+                                  {"--help", &help},
+                                  {"-h", &help}},
+                                 &positional);
+      !status.ok()) {
+    Die(status.ToString());
+  }
+  if (help) {
+    PrintUsage();
+    return 0;
   }
 
   static constexpr const char* kCommands[] = {"summary",  "latency", "hot-blocks",
@@ -890,19 +887,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(timeseries->metadata.trace_events),
                 timeseries->metadata.workload.empty() ? "" : ", workload ",
                 timeseries->metadata.workload.c_str(), timeseries->runs.size());
-    std::vector<std::size_t> indices;
-    if (run_filter >= 0) {
-      if (static_cast<std::size_t>(run_filter) >= timeseries->runs.size()) {
-        Die("--run " + std::to_string(run_filter) + " out of range (document has " +
-            std::to_string(timeseries->runs.size()) + " runs)");
-      }
-      indices.push_back(static_cast<std::size_t>(run_filter));
-    } else {
-      for (std::size_t i = 0; i < timeseries->runs.size(); ++i) {
-        indices.push_back(i);
-      }
-    }
-    CommandTimeline(*timeseries, indices);
+    CommandTimeline(*timeseries, SelectIndices(timeseries->runs.size(), run_filter, "runs"));
     return 0;
   }
   if (command == "manifest") {
@@ -934,18 +919,8 @@ int main(int argc, char** argv) {
                 document.metadata.workload.c_str(), document.runs.size());
   }
 
-  std::vector<std::size_t> run_indices;
-  if (run_filter >= 0) {
-    if (static_cast<std::size_t>(run_filter) >= document.runs.size()) {
-      Die("--run " + std::to_string(run_filter) + " out of range (document has " +
-          std::to_string(document.runs.size()) + " runs)");
-    }
-    run_indices.push_back(static_cast<std::size_t>(run_filter));
-  } else {
-    for (std::size_t i = 0; i < document.runs.size(); ++i) {
-      run_indices.push_back(i);
-    }
-  }
+  const std::vector<std::size_t> run_indices =
+      SelectIndices(document.runs.size(), run_filter, "runs");
 
   if (command == "summary") {
     CommandSummary(document, run_indices, json_output);

@@ -18,7 +18,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "src/common/flags.h"
@@ -54,76 +53,47 @@ int Run(int argc, char** argv) {
   ServeOptions options;
   std::string out_path;
   std::string manifest_path;
-  for (int i = 1; i < argc; ++i) {
-    const auto has_value = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
-    };
-    // Consumes the current flag's value as a number.
-    const auto number = [&](auto* out) {
-      const char* flag = argv[i];
-      return ParseFlagNumber(flag, argv[++i], out);
-    };
-    Status parsed;
-    if (has_value("--threads")) {
-      parsed = number(&options.client_threads);
-    } else if (has_value("--shards")) {
-      parsed = number(&options.shards);
-    } else if (has_value("--clients")) {
-      parsed = number(&options.num_clients);
-    } else if (has_value("--policy")) {
-      Result<PolicyKind> kind = ParsePolicyKind(argv[++i]);
-      if (!kind.ok()) {
-        std::fprintf(stderr, "coopfs_serve: %s\n", kind.status().ToString().c_str());
-        return 2;
-      }
-      options.policy = *kind;
-    } else if (has_value("--ops")) {
-      parsed = number(&options.ops);
-    } else if (has_value("--warmup")) {
-      parsed = number(&options.warmup_ops);
-    } else if (has_value("--get-fraction")) {
-      parsed = number(&options.get_fraction);
-    } else if (has_value("--mix")) {
-      const char* mix = argv[++i];
-      if (std::strcmp(mix, "zipf") == 0) {
-        options.mix = ServeKeyMix::kZipf;
-      } else if (std::strcmp(mix, "trace") == 0) {
-        options.mix = ServeKeyMix::kTrace;
-      } else {
-        std::fprintf(stderr, "coopfs_serve: unknown mix '%s'\n", mix);
-        return 2;
-      }
-    } else if (has_value("--files")) {
-      parsed = number(&options.num_files);
-    } else if (has_value("--blocks-per-file")) {
-      parsed = number(&options.blocks_per_file);
-    } else if (has_value("--zipf")) {
-      parsed = number(&options.zipf_s);
-    } else if (has_value("--seed")) {
-      parsed = number(&options.seed);
-    } else if (has_value("--client-cache-mib")) {
-      std::size_t mib = 0;
-      if (parsed = number(&mib); parsed.ok()) {
-        options.config.client_cache_blocks = BytesToBlocks(MiB(mib));
-      }
-    } else if (has_value("--server-cache-mib")) {
-      std::size_t mib = 0;
-      if (parsed = number(&mib); parsed.ok()) {
-        options.config.server_cache_blocks = BytesToBlocks(MiB(mib));
-      }
-    } else if (has_value("--out")) {
-      out_path = argv[++i];
-    } else if (has_value("--manifest")) {
-      manifest_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "coopfs_serve: unknown or incomplete flag '%s'\n", argv[i]);
-      return Usage();
-    }
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "coopfs_serve: %s\n", parsed.message().c_str());
-      return 2;
-    }
+  std::string policy = PolicyKindName(options.policy);
+  std::string mix = ServeKeyMixName(options.mix);
+  std::size_t client_mib = CacheMiB(options.config.client_cache_blocks);
+  std::size_t server_mib = CacheMiB(options.config.server_cache_blocks);
+  const Status parsed = ParseFlags(argc, argv,
+                                   {{"--threads", &options.client_threads},
+                                    {"--shards", &options.shards},
+                                    {"--clients", &options.num_clients},
+                                    {"--policy", &policy},
+                                    {"--ops", &options.ops},
+                                    {"--warmup", &options.warmup_ops},
+                                    {"--get-fraction", &options.get_fraction},
+                                    {"--mix", &mix},
+                                    {"--files", &options.num_files},
+                                    {"--blocks-per-file", &options.blocks_per_file},
+                                    {"--zipf", &options.zipf_s},
+                                    {"--seed", &options.seed},
+                                    {"--client-cache-mib", &client_mib},
+                                    {"--server-cache-mib", &server_mib},
+                                    {"--out", &out_path},
+                                    {"--manifest", &manifest_path}});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "coopfs_serve: %s\n", parsed.message().c_str());
+    return Usage();
   }
+  Result<PolicyKind> kind = ParsePolicyKind(policy);
+  if (!kind.ok()) {
+    std::fprintf(stderr, "coopfs_serve: %s\n", kind.status().ToString().c_str());
+    return 2;
+  }
+  options.policy = *kind;
+  if (mix == "zipf") {
+    options.mix = ServeKeyMix::kZipf;
+  } else if (mix == "trace") {
+    options.mix = ServeKeyMix::kTrace;
+  } else {
+    std::fprintf(stderr, "coopfs_serve: unknown mix '%s'\n", mix.c_str());
+    return 2;
+  }
+  options.config.client_cache_blocks = BytesToBlocks(MiB(client_mib));
+  options.config.server_cache_blocks = BytesToBlocks(MiB(server_mib));
 
   const auto start = std::chrono::steady_clock::now();
   Result<ServeReport> report = RunServe(options);
